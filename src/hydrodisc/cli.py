@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 numerical-convergence or accuracy
 failure, 3 I/O failure.  A sweep with per-point failures still writes its
 outputs (failed rows carry an error marker) and exits with code 2 so
-scripts notice.
+scripts notice.  Only bad arguments and config values are usage errors; any
+other exception (a ValueError raised inside the numerics included) is a
+programming error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from .confined import ConvergenceError
 from .momentum import AccuracyError
 from .sweep import (
+    SweepConfig,
     config_echo,
     config_from,
     emit_csv,
@@ -77,20 +80,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_config(args: argparse.Namespace) -> SweepConfig:
+    """Sweep configuration from --config and the flags; bad values are usage errors."""
+    try:
+        file_values = read_config_file(args.config) if args.config else None
+        flags: dict[str, object] = {
+            "states": parse_states(args.states) if args.states else None,
+            "r0_min": args.r0_min,
+            "r0_max": args.r0_max,
+            "points": args.points,
+            "spacing": args.spacing,
+            "quadrature_order": args.quadrature_order,
+            "p_tail_tolerance": args.p_tail_tolerance,
+            "output_path": args.out,
+            "emit_plot_data": args.emit_plot_data,
+        }
+        return config_from(file_values, flags)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _run_sweep_command(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else None
-    flags: dict[str, object] = {
-        "states": parse_states(args.states) if args.states else None,
-        "r0_min": args.r0_min,
-        "r0_max": args.r0_max,
-        "points": args.points,
-        "spacing": args.spacing,
-        "quadrature_order": args.quadrature_order,
-        "p_tail_tolerance": args.p_tail_tolerance,
-        "output_path": args.out,
-        "emit_plot_data": args.emit_plot_data,
-    }
-    cfg = config_from(file_values, flags)
+    cfg = _resolve_config(args)
     jobs = args.jobs if args.jobs and args.jobs > 0 else 1
 
     out_dir = cfg.output_path
@@ -141,9 +152,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_table1_command(args)
         return _run_verify_command()
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, AccuracyError) as exc:

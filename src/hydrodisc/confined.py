@@ -55,7 +55,6 @@ __all__ = [
     "energy_functional",
     "solve",
     "coulomb_expectation",
-    "reference_energies",
     "MIN_WALL_RADIUS",
 ]
 
@@ -313,12 +312,3 @@ def coulomb_expectation(cs: ConfinedState) -> float:
     value, _ = cs.radial(grid.nodes)
     return float(np.sum(grid.weights * value * value))
 
-
-def reference_energies() -> dict[str, tuple[float, float]]:
-    """Free-limit energy and approximate saturation radius per tabulated state."""
-    return {
-        "1s": (-2.0, 2.0),
-        "2s": (-2.0 / 9.0, 3.0),
-        "2p": (-2.0 / 9.0, 3.0),
-        "3d": (-2.0 / 25.0, 5.0),
-    }

@@ -10,9 +10,13 @@ bounded below by d^2 as well.
 
 Position-space integrals run on the same Gauss-Legendre wall grid the
 variational solver used, so the reported norm residual doubles as a check
-that the state object is self-consistent.  Momentum-space integrals combine
-the panel quadrature stored in a RadialMomentumTable with its analytic
-large-p tail corrections.
+that the state object is self-consistent.  In momentum space two measures
+are exact identities of the position-space state with definite m and are
+evaluated on that same grid: <p^2> = 2<T> = Int (R'^2 + m^2 R^2/r^2) r dr,
+and the Fisher information F = 4<r^2> - 4 m^2 <p^-2> (Romera,
+Sanchez-Moreno & Dehesa, Chem. Phys. Lett. 414 (2005) 468).  The norm,
+<p> and <p^-2> combine the panel quadrature stored in a
+RadialMomentumTable with its analytic large-p tail corrections.
 
 The free_*_report helpers evaluate the same measures for the analytic free
 atom by direct quadrature.  They exist as oracles: the closed forms in
@@ -98,15 +102,28 @@ def position_measures(cs: ConfinedState) -> MeasureReport:
     return _build_report("position", mean, second, fisher, abs(norm - 1.0))
 
 
-def momentum_measures(table: RadialMomentumTable) -> MeasureReport:
-    """Measures of the momentum density, tail corrections included."""
+def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureReport:
+    """Measures of the momentum density of cs, given its momentum table.
+
+    The norm and <p> come from the table, tail corrections included.  <p^2>
+    is twice the kinetic energy and F = 4<r^2> - 4 m^2 <p^-2>, both taken
+    on the solver's grid; only <p^-2> (m >= 1) is read from the table.
+    """
+    if table.state != cs.state or table.r0 != cs.r0:
+        raise ValueError(
+            f"momentum table of {table.state.label} at r0={table.r0} does not belong "
+            f"to {cs.state.label} at r0={cs.r0}"
+        )
+    grid = cs.grid()
+    r = grid.nodes
+    value, deriv = cs.radial(r)
+    m_sq = float(cs.state.l**2)
+    second = float(np.sum(grid.weights * (deriv * deriv + m_sq * value * value / (r * r)) * r))
+    fisher = 4.0 * float(np.sum(grid.weights * value * value * r**3))
+    if m_sq:
+        fisher -= 4.0 * m_sq * table.moment(-2)
     norm = table.moment(0)
-    mean = table.moment(1)
-    second = table.moment(2)
-    fisher = 4.0 * float(
-        np.sum(table.p_weights * table.dphi_dp**2 * table.p_grid)
-    ) + table.tail_fisher()
-    return _build_report("momentum", mean, second, fisher, abs(norm - 1.0))
+    return _build_report("momentum", table.moment(1), second, fisher, abs(norm - 1.0))
 
 
 def free_position_report(state: StateLabel, order: int = 16, levels: int = 14) -> MeasureReport:

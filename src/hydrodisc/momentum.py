@@ -11,11 +11,19 @@ Two amplitude conventions coexist deliberately:
     absorbed, H = sqrt(2 pi) phi, so that Int H^2 p dp = 1 exactly mirrors
     the position normalization Int R^2 r dr = 1.
 
+The table supplies the quantities the measures still take in momentum
+space: the norm (the Parseval check), <p> and, for m >= 1, <p^-2>.
+<p^2> = 2<T> and the Fisher information F = 4<r^2> - 4 m^2 <p^-2> are
+exact identities of the position-space state and are evaluated there (see
+measures), so the table carries values only, no derivative.
+
 The r-integral is oscillatory: composite Gauss-Legendre panels are tied to
 the local Bessel period 2 pi/p (at least 8 panels, counts rounded up to
-powers of two so momenta can share evaluation grids).  The p-grid is
-geometric from p_min = 1e-3 until the step reaches 8/r0, then arithmetic,
-extended adaptively until the tail criteria hold and verified by doubling.
+powers of two so momenta can share evaluation grids), and each group of
+momenta costs one kernel matrix J_m(p r) and one matrix-vector product.
+The p-grid is geometric from p_min = 1e-3 until the step reaches 8/r0,
+then arithmetic, extended adaptively until the tail criteria on the
+tabulated moments hold and verified by doubling.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
@@ -36,7 +44,7 @@ import numpy as np
 
 from .confined import ConfinedState
 from .free_atom import StateLabel
-from .specfun import bessel_j_pair, gauss_legendre
+from .specfun import bessel_j, gauss_legendre
 
 __all__ = [
     "AccuracyError",
@@ -56,19 +64,17 @@ class AccuracyError(RuntimeError):
     """Raised when an integral cannot reach its accuracy target."""
 
 
-def _panel_count(r0: float, p: float, oversample: float = 1.0) -> int:
+def _panel_count(r0: float, p: float) -> int:
     """Power-of-two number of full-period r-panels for momentum p, at least 8."""
-    need = oversample * p * r0 / (2.0 * math.pi)
+    need = p * r0 / (2.0 * math.pi)
     count = 8
     while count < need:
         count *= 2
     return count
 
 
-def _transform_batch(
-    cs: ConfinedState, p: np.ndarray, oversample: float = 1.0, order: int = _R_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """H(p) = Int R J_m(pr) r dr and dH/dp for an array of momenta.
+def _transform_batch(cs: ConfinedState, p: np.ndarray) -> np.ndarray:
+    """H(p) = Int R J_m(pr) r dr for an array of momenta.
 
     Momenta needing the same panel count share one r-grid, so the Bessel
     kernel is evaluated as a single matrix per group.
@@ -77,40 +83,33 @@ def _transform_batch(
     r0 = cs.r0
     p = np.asarray(p, dtype=float)
     value = np.empty_like(p)
-    deriv = np.empty_like(p)
-    counts = np.array([_panel_count(r0, pi, oversample) for pi in p])
-    rule = gauss_legendre(order)
+    counts = np.array([_panel_count(r0, pi) for pi in p])
+    rule = gauss_legendre(_R_ORDER)
     for count in np.unique(counts):
         idx = np.nonzero(counts == count)[0]
         edges = np.linspace(0.0, r0, count + 1)
         half = 0.5 * (r0 / count)
         r = (edges[:-1, None] + half * (rule.nodes[None, :] + 1.0)).ravel()
-        w = np.broadcast_to(half * rule.weights, (count, order)).ravel()
+        w = np.broadcast_to(half * rule.weights, (count, _R_ORDER)).ravel()
         radial, _ = cs.radial(r)
         wrr = w * radial * r
-        wrr2 = wrr * r
         # chunk the (p, r) kernel matrix to keep peak memory bounded
         rows = max(1, int(4e6) // r.size)
         for lo in range(0, idx.size, rows):
             sel = idx[lo : lo + rows]
-            z = p[sel, None] * r[None, :]
-            jm, jd = bessel_j_pair(m, z)
-            value[sel] = jm @ wrr
-            deriv[sel] = jd @ wrr2  # d/dp J_m(pr) = r J_m'(pr)
-    return value, deriv
+            value[sel] = bessel_j(m, p[sel, None] * r[None, :]) @ wrr
+    return value
 
 
-def hankel_transform(cs: ConfinedState, p) -> tuple[np.ndarray, np.ndarray]:
-    """Radial momentum amplitude phi(p) = (2 pi)^(-1/2) Int R J_m(pr) r dr and dphi/dp."""
+def hankel_transform(cs: ConfinedState, p):
+    """Radial momentum amplitude phi(p) = (2 pi)^(-1/2) Int R J_m(pr) r dr."""
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(p_arr < 0.0):
         raise ValueError("momentum must be non-negative")
-    scale = 1.0 / math.sqrt(2.0 * math.pi)
-    value, deriv = _transform_batch(cs, p_arr)
-    value, deriv = scale * value, scale * deriv
+    value = _transform_batch(cs, p_arr) / math.sqrt(2.0 * math.pi)
     if np.ndim(p) == 0:
-        return float(value[0]), float(deriv[0])
-    return value, deriv
+        return float(value[0])
+    return value
 
 
 def _wall_b_coeff(m: int, r0: float, wall_slope: float, wall_curvature: float) -> float:
@@ -128,16 +127,19 @@ def _tail_moment(
     wall_curvature: float,
     origin_coeff: float,
 ) -> float:
-    """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {0, 1, 2}.
+    """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {-2, 0, 1, 2}.
 
     Sources: the leading wall term H ~ r0 R'(r0) J_m(p r0)/p^2 with J_m^2
     averaged to 1/(pi x), its subleading correction one power down (built
     from R''(r0)), for m = 0 the smooth origin term H ~ -R'(0)/p^3, and the
     leading boundary term of the oscillatory wall-origin cross integral.
-    Remaining cross terms average out and are dropped.
+    Remaining cross terms average out and are dropped.  The k = -2 moment
+    <p^-2> diverges at the origin for m = 0 and is rejected there.
     """
-    if k not in (0, 1, 2):
-        raise ValueError(f"tail moments implemented for k in 0..2, got {k}")
+    if k not in (-2, 0, 1, 2):
+        raise ValueError(f"tail moments implemented for k in {{-2, 0, 1, 2}}, got {k}")
+    if k == -2 and m == 0:
+        raise ValueError("<p^-2> diverges for m = 0")
     b = _wall_b_coeff(m, r0, wall_slope, wall_curvature)
     a = wall_slope * math.sqrt(r0)
     wall = r0 * wall_slope**2 / (math.pi * (3 - k) * p_max ** (3 - k))
@@ -155,22 +157,6 @@ def _tail_moment(
     return wall + wall_next + origin + cross
 
 
-def _tail_fisher(
-    p_max: float,
-    r0: float,
-    m: int,
-    wall_slope: float,
-    wall_curvature: float,
-    origin_coeff: float,
-) -> float:
-    """Asymptotic estimate of 4 Int_{p_max}^inf (dH/dp)^2 p dp."""
-    b = _wall_b_coeff(m, r0, wall_slope, wall_curvature)
-    wall = 4.0 * r0**3 * wall_slope**2 / (3.0 * math.pi * p_max**3)
-    wall_next = 2.0 * b**2 * r0**2 / (5.0 * math.pi * p_max**5)
-    origin = 6.0 * origin_coeff**2 / p_max**6
-    return wall + wall_next + origin
-
-
 @dataclass(frozen=True)
 class RadialMomentumTable:
     """Tabulated radial momentum amplitude (unit norm: Int phi^2 p dp = 1)."""
@@ -179,7 +165,6 @@ class RadialMomentumTable:
     r0: float
     p_grid: np.ndarray
     phi: np.ndarray
-    dphi_dp: np.ndarray
     p_weights: np.ndarray
     p_max: float
     tail_mass: float
@@ -188,20 +173,9 @@ class RadialMomentumTable:
     origin_coeff: float
 
     def tail_moment(self, k: int) -> float:
-        """Estimated Int_{p_max}^inf phi^2 p^(k+1) dp for k in {0, 1, 2}."""
+        """Estimated Int_{p_max}^inf phi^2 p^(k+1) dp for k in {-2, 0, 1, 2}."""
         return _tail_moment(
             k,
-            self.p_max,
-            self.r0,
-            self.state.l,
-            self.wall_slope,
-            self.wall_curvature,
-            self.origin_coeff,
-        )
-
-    def tail_fisher(self) -> float:
-        """Estimated Fisher integral 4 Int (dphi/dp)^2 p dp beyond p_max."""
-        return _tail_fisher(
             self.p_max,
             self.r0,
             self.state.l,
@@ -250,10 +224,13 @@ def build_table(
 
     The grid is extended octave by octave (up to a 2^10/eta cap, raised by
     1/r0 inside sub-unit walls where the momentum content scales with the
-    confinement) until the tail-corrected moments Int phi^2 p^(k+1) dp,
-    k = 0..2, are stable from one octave to the next and the estimated tail
-    mass is below tolerance; the final grid is then verified by panel
-    doubling.
+    confinement) until the tail-corrected moments the measures read from the
+    table are stable from one octave to the next and the estimated tail mass
+    is below tolerance; the final grid is then verified by panel doubling.
+    Those moments are Int phi^2 p^(k+1) dp for k = 0 (the norm) and k = 1
+    (<p>), plus k = -2 (<p^-2>, the Fisher identity's angular term) when
+    m >= 1.  The k = 2 moment stays available but does not drive p_max: the
+    measures take <p^2> from position space.
     """
     if not (0.0 < p_tail_tolerance <= 1e-3):
         raise ValueError(f"p_tail_tolerance out of range (0, 1e-3]: {p_tail_tolerance}")
@@ -271,14 +248,15 @@ def build_table(
     # starter panel [0, p_min] keeps the mass below p_min (phi(0) need not vanish)
     edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta)])
     p, w = _p_nodes(edges)
-    phi, dphi = _transform_batch(cs, p)
+    phi = _transform_batch(cs, p)
+    ks = (0, 1, -2) if m >= 1 else (0, 1)
 
     def moments(pv, wv, phiv, p_max):
         return np.array(
             [
                 float(np.sum(wv * phiv**2 * pv ** (k + 1)))
                 + _tail_moment(k, p_max, r0, m, slope, curvature, origin)
-                for k in (0, 1, 2)
+                for k in ks
             ]
         )
 
@@ -290,13 +268,8 @@ def build_table(
     while True:
         p_max = float(edges[-1])
         totals = moments(p, w, phi, p_max)
-        tol = np.array(
-            [
-                p_tail_tolerance,
-                3e-5 * max(abs(totals[1]), 1e-30),
-                3e-5 * max(abs(totals[2]), 1e-30),
-            ]
-        )
+        tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
+        tol[0] = p_tail_tolerance
         tail0 = _tail_moment(0, p_max, r0, m, slope, curvature, origin)
         if (
             previous is not None
@@ -315,12 +288,11 @@ def build_table(
         previous = totals
         new_edges = _p_edges(r0, p_max, min(2.0 * p_max, p_cap))
         p_new, w_new = _p_nodes(new_edges)
-        phi_new, dphi_new = _transform_batch(cs, p_new)
+        phi_new = _transform_batch(cs, p_new)
         edges = np.concatenate([edges, new_edges[1:]])
         p = np.concatenate([p, p_new])
         w = np.concatenate([w, w_new])
         phi = np.concatenate([phi, phi_new])
-        dphi = np.concatenate([dphi, dphi_new])
 
     p_max = float(edges[-1])
     current = moments(p, w, phi, p_max)
@@ -328,10 +300,10 @@ def build_table(
         mid = 0.5 * (edges[:-1] + edges[1:])
         edges_fine = np.sort(np.concatenate([edges, mid]))
         p_f, w_f = _p_nodes(edges_fine)
-        phi_f, dphi_f = _transform_batch(cs, p_f)
+        phi_f = _transform_batch(cs, p_f)
         refined = moments(p_f, w_f, phi_f, p_max)
         change = np.abs(refined - current) / np.maximum(np.abs(refined), 1e-30)
-        edges, p, w, phi, dphi, current = edges_fine, p_f, w_f, phi_f, dphi_f, refined
+        edges, p, w, phi, current = edges_fine, p_f, w_f, phi_f, refined
         if np.all(change < doubling_tolerance):
             break
     else:
@@ -340,14 +312,13 @@ def build_table(
             f"at r0={r0}: last relative changes {change}"
         )
 
-    for arr in (p, phi, dphi, w):
+    for arr in (p, phi, w):
         arr.setflags(write=False)
     return RadialMomentumTable(
         state=cs.state,
         r0=r0,
         p_grid=p,
         phi=phi,
-        dphi_dp=dphi,
         p_weights=w,
         p_max=p_max,
         tail_mass=_tail_moment(0, p_max, r0, m, slope, curvature, origin),

@@ -28,7 +28,6 @@ __all__ = [
     "orthonormal_laguerre",
     "gegenbauer_orthonormal",
     "bessel_j",
-    "bessel_j_pair",
 ]
 
 
@@ -191,27 +190,15 @@ def gegenbauer_orthonormal(k: int, alpha: float, y) -> PolynomialEval:
     return PolynomialEval(value=value, derivative=deriv)
 
 
-def bessel_j(m: int, z):
-    """Bessel function of the first kind J_m for integer order m >= 0."""
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("bessel_j requires z >= 0")
-    out = _sp.jv(m, z)
-    return float(out) if out.ndim == 0 else out
-
-
 _ASYM_Z = 60.0
 
 
-def _bessel_asymptotic_pair(m: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_m, J_{|m-1|}) via the Hankel large-argument expansion, three P/Q terms.
+def _bessel_asymptotic(m: int, z: np.ndarray) -> np.ndarray:
+    """J_m via the Hankel large-argument expansion, three P/Q terms.
 
     For z >= 60 and m <= 3 the truncation error is below ~1e-11, while the
     evaluation runs an order of magnitude faster than the general routine
-    (all cos/sin and short polynomials in 1/z, with the trig base shared
-    between the two orders).
+    (one cos/sin pair and short polynomials in 1/z).
     """
     inv = 1.0 / z
     amp = np.sqrt((2.0 / np.pi) * inv)
@@ -219,56 +206,39 @@ def _bessel_asymptotic_pair(m: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
     c0 = np.cos(theta)
     s0 = np.sin(theta)
     # chi_m = theta - m pi/2, so (cos, sin)(chi_m) is a quarter-turn table
-    quarter = ((c0, s0), (s0, -c0), (-c0, -s0), (-s0, c0))
+    cm, sm = ((c0, s0), (s0, -c0), (-c0, -s0), (-s0, c0))[m % 4]
     x = 0.125 * inv
     x2 = x * x
-
-    def one(order: int) -> np.ndarray:
-        cm, sm = quarter[order % 4]
-        mu = 4.0 * order * order
-        a1 = mu - 1.0
-        a2 = a1 * (mu - 9.0)
-        a3 = a2 * (mu - 25.0)
-        a4 = a3 * (mu - 49.0)
-        a5 = a4 * (mu - 81.0)
-        p = 1.0 + x2 * (-a2 / 2.0 + x2 * (a4 / 24.0))
-        q = x * (a1 + x2 * (-a3 / 6.0 + x2 * (a5 / 120.0)))
-        return amp * (p * cm - q * sm)
-
-    return one(m), one(abs(m - 1))
+    mu = 4.0 * m * m
+    a1 = mu - 1.0
+    a2 = a1 * (mu - 9.0)
+    a3 = a2 * (mu - 25.0)
+    a4 = a3 * (mu - 49.0)
+    a5 = a4 * (mu - 81.0)
+    p = 1.0 + x2 * (-a2 / 2.0 + x2 * (a4 / 24.0))
+    q = x * (a1 + x2 * (-a3 / 6.0 + x2 * (a5 / 120.0)))
+    return amp * (p * cm - q * sm)
 
 
-def bessel_j_pair(m: int, z) -> tuple[np.ndarray, np.ndarray]:
-    """J_m(z) and J_m'(z) together, vectorized for bulk kernels.
+def bessel_j(m: int, z):
+    """Bessel function of the first kind J_m for integer order m >= 0.
 
-    Uses J_m' = J_{m-1} - (m/z) J_m away from zero; at z = 0 the derivative
-    is 1/2 for m = 1 and 0 otherwise.  Large arguments switch to the Hankel
+    Vectorized for bulk kernels: arguments z >= 60 switch to the Hankel
     asymptotic form for speed (orders m <= 3 only).
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
-        raise ValueError("bessel_j_pair requires z >= 0")
+        raise ValueError("bessel_j requires z >= 0")
     big = (z >= _ASYM_Z) if m <= 3 else np.zeros(z.shape, dtype=bool)
     if np.all(big):
-        jm, jlow = _bessel_asymptotic_pair(m, z)
+        out = _bessel_asymptotic(m, z)
     elif not np.any(big):
-        jm = _sp.jv(m, z)
-        jlow = _sp.jv(abs(m - 1), z)
+        out = _sp.jv(m, z)
     else:
-        jm = np.empty_like(z)
-        jlow = np.empty_like(z)
+        out = np.empty_like(z)
         small = ~big
-        jm[big], jlow[big] = _bessel_asymptotic_pair(m, z[big])
-        zs = z[small]
-        jm[small] = _sp.jv(m, zs)
-        jlow[small] = _sp.jv(abs(m - 1), zs)
-    if m == 0:
-        # J_(-1) = -J_1, and J_0' = -J_1
-        return jm, -jlow
-    safe = np.where(z > 0.0, z, 1.0)
-    deriv = jlow - m * jm / safe
-    at_zero = 0.5 if m == 1 else 0.0
-    deriv = np.where(z > 0.0, deriv, at_zero)
-    return jm, deriv
+        out[big] = _bessel_asymptotic(m, z[big])
+        out[small] = _sp.jv(m, z[small])
+    return float(out) if out.ndim == 0 else out

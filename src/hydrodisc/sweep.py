@@ -169,7 +169,7 @@ def evaluate_point(
     )
     try:
         table = build_table(cs, p_tail_tolerance=p_tail_tolerance)
-        mom = momentum_measures(table)
+        mom = momentum_measures(cs, table)
     except AccuracyError as exc:
         return replace(row, error=_flatten_error(exc, "momentum"))
     return replace(

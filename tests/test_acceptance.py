@@ -8,6 +8,9 @@ marked xfail(strict=True) so the expected red stays red and an accidental
 green breaks the suite instead of slipping by.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from hydrodisc import acceptance
@@ -73,3 +76,25 @@ def test_attained_crossing_windows_hold(results):
     assert per_window["2p"] is True
     assert per_window["2s"] is True
     assert per_window["3d"] is False  # adjudicated: see the module docstring
+
+
+def test_kinetic_identity_reads_the_table(monkeypatch):
+    """Criterion 8 compares the table's own <p^2> with 2<T>, not 2<T> with itself.
+
+    Raising the tabulated amplitude by 5% above p_max/2 leaves the norm
+    within 2e-7 and the reported <p^2> (2<T> by construction) unchanged,
+    yet must trip the kinetic-identity check.
+    """
+    point = acceptance._evaluate(StateLabel(2, 1), 2.0)
+    monkeypatch.setattr(acceptance, "_curve", lambda: [point])
+    ok, line = acceptance.criterion_8()
+    assert ok, line
+
+    tab = point.table
+    phi = np.where(tab.p_grid > 0.5 * tab.p_max, 1.05 * tab.phi, tab.phi)
+    bad = dataclasses.replace(point, table=dataclasses.replace(tab, phi=phi))
+    assert abs(bad.table.moment(0) - 1.0) < 1e-6
+    monkeypatch.setattr(acceptance, "_curve", lambda: [bad])
+    ok, line = acceptance.criterion_8()
+    assert not ok
+    assert "kinetic identity" in line

@@ -95,6 +95,22 @@ def test_csv_header_contract(tmp_path):
     assert first == CSV_HEADER
 
 
+def test_numerical_value_error_is_not_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A ValueError raised inside the numerics propagates; bad flags still exit 1."""
+
+    def broken_solve(*args, **kwargs):
+        raise ValueError("inside the solver")
+
+    monkeypatch.setattr("hydrodisc.sweep.solve", broken_solve)
+    argv = ["sweep", "--states", "1,0", "--r0-min", "1.0", "--r0-max", "2.0",
+            "--points", "2", "--out", str(tmp_path)]
+    with pytest.raises(ValueError, match="inside the solver"):
+        main(argv)
+    assert "usage error" not in capsys.readouterr().err
+    assert main(argv[:-3] + ["1", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--r0-min", "--points"])
 def test_non_numeric_flag_is_usage_error(flag, capsys):
     assert main(["sweep", flag, "banana"]) == EXIT_USAGE

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from hydrodisc.confined import solve
+from hydrodisc.confined import coulomb_expectation, solve
 from hydrodisc.free_atom import StateLabel, free_measures, momentum_mean, table1_states
 from hydrodisc.measures import (
     NORM_TOLERANCE,
@@ -50,7 +50,7 @@ def test_report_identities_are_exact():
 def test_confined_reports_are_consistent():
     cs = solve(StateLabel(2, 1), 2.0)
     pos = position_measures(cs)
-    mom = momentum_measures(build_table(cs))
+    mom = momentum_measures(cs, build_table(cs))
     assert pos.norm_residual < 1e-10
     assert mom.norm_residual < 1e-6
     assert pos.variance > 0 and mom.variance > 0
@@ -70,7 +70,28 @@ def test_norm_tolerance_guards_momentum():
     tab = build_table(cs)
     bad = dataclasses.replace(tab, phi=tab.phi * 1.01)
     with pytest.raises(AccuracyError):
-        momentum_measures(bad)
+        momentum_measures(cs, bad)
+
+
+def test_momentum_identities_use_the_position_state():
+    """<p^2> is 2<T>; F_gamma is 4<r^2>, less 4m^2<p^-2> from the table when m >= 1."""
+    for st in (StateLabel(2, 0), StateLabel(3, 2)):
+        cs = solve(st, 3.0)
+        tab = build_table(cs)
+        pos = position_measures(cs)
+        mom = momentum_measures(cs, tab)
+        kinetic = 2.0 * (cs.energy + coulomb_expectation(cs))
+        assert abs(mom.second_moment / kinetic - 1.0) < 1e-12
+        angular = 4.0 * st.l**2 * tab.moment(-2) if st.l else 0.0
+        assert abs(mom.fisher - (4.0 * pos.second_moment - angular)) < 1e-12 * mom.fisher
+        assert mom.mean == tab.moment(1)
+
+
+def test_momentum_measures_rejects_a_foreign_table():
+    cs = solve(StateLabel(1, 0), 2.0)
+    other = solve(StateLabel(1, 0), 3.0)
+    with pytest.raises(ValueError):
+        momentum_measures(cs, build_table(other))
 
 
 def test_fisher_uncertainty_check_ground_state():

@@ -43,35 +43,49 @@ def test_transform_scaling_against_table(tables_r2):
     """hankel_transform carries the 2D plane-wave prefactor (2 pi)^-1/2."""
     for cs, tab in tables_r2.values():
         idx = [3, len(tab.p_grid) // 2]
-        v, _ = hankel_transform(cs, tab.p_grid[idx])
+        v = hankel_transform(cs, tab.p_grid[idx])
         assert_allclose(v * math.sqrt(2.0 * math.pi), tab.phi[idx], rtol=1e-12)
 
 
 def test_origin_behavior(tables_r2):
     """phi(0) finite for s states, vanishing like p^|m| otherwise."""
     cs0, _ = tables_r2["1s"]
-    v, d = hankel_transform(cs0, np.array([0.0]))
+    v = hankel_transform(cs0, np.array([0.0]))
     assert np.isfinite(v[0]) and v[0] != 0.0
-    assert d[0] == 0.0
+    assert hankel_transform(cs0, 0.0) == v[0]
     for label, m in (("2p", 1), ("3d", 2)):
         cs, _ = tables_r2[label]
-        v, _ = hankel_transform(cs, np.array([0.0]))
+        v = hankel_transform(cs, np.array([0.0]))
         assert v[0] == 0.0
-        v1, _ = hankel_transform(cs, np.array([1e-4]))
-        v2, _ = hankel_transform(cs, np.array([2e-4]))
+        v1 = hankel_transform(cs, np.array([1e-4]))
+        v2 = hankel_transform(cs, np.array([2e-4]))
         assert abs(v2[0] / v1[0] - 2.0**m) < 1e-6
 
 
-def test_derivative_matches_fd(tables_r2):
-    cs, _ = tables_r2["2p"]
-    h = 1e-5
-    for p in (0.5, 2.0, 8.0):
-        grid = np.array([p])
-        _, deriv = hankel_transform(cs, grid)
-        vp, _ = hankel_transform(cs, grid + h)
-        vm, _ = hankel_transform(cs, grid - h)
-        fd = (vp[0] - vm[0]) / (2 * h)
-        assert abs(deriv[0] - fd) < 1e-8 * max(1.0, abs(fd))
+@pytest.mark.parametrize("r0", [2.0, 6.0])
+@pytest.mark.parametrize("label", ["2s", "2p", "3d"])
+def test_fisher_identity_matches_derivative_quadrature(label, r0):
+    """F_gamma = 4<r^2> - 4m^2<p^-2> equals 4 Int (dH/dp)^2 p dp.
+
+    dH/dp = Int R r^2 J_m'(pr) dr is integrated here with scipy's jvp on
+    a p-grid of its own out to 50, far past the table's kernel, plus the
+    leading wall tail 4 r0^3 R'(r0)^2 / (3 pi p^3) beyond it.
+    """
+    from scipy.special import jvp
+
+    from hydrodisc.measures import momentum_measures
+
+    cs = solve(next(s for s in STATES if s.label == label), r0)
+    m = cs.state.l
+    p_end = 50.0
+    r, wr = composite_gauss(np.linspace(0.0, r0, int(p_end * r0 / (2 * math.pi)) + 9), 16)
+    wrr = wr * cs.radial(r)[0] * r * r
+    p, wp = composite_gauss(np.linspace(0.0, p_end, int(p_end * r0 / math.pi) + 9), 12)
+    dh = jvp(m, np.outer(p, r)) @ wrr
+    tail = 4.0 * r0**3 * cs.wall_slope() ** 2 / (3.0 * math.pi * p_end**3)
+    fisher = 4.0 * float(np.sum(wp * dh * dh * p)) + tail
+    reported = momentum_measures(cs, build_table(cs)).fisher
+    assert abs(fisher / reported - 1.0) < 1e-6
 
 
 def test_kinetic_energy_consistency(tables_r2):
@@ -100,7 +114,7 @@ def test_oscillatory_quadrature_oversampling(tables_r2):
     coarse = transform(0.5 * period)
     fine = transform(0.25 * period)
     assert abs(coarse - fine) < 1e-8
-    v, _ = hankel_transform(cs, np.array([p]))
+    v = hankel_transform(cs, np.array([p]))
     assert abs(v[0] * math.sqrt(2.0 * math.pi) - fine) < 1e-8
 
 
@@ -108,7 +122,7 @@ def test_free_ground_state_density_shape():
     """At a distant wall the 1s momentum density is (1 + p^2/4)^-3."""
     cs = solve(StateLabel(1, 0), 25.0)
     ps = np.array([0.3, 0.7, 1.5, 3.0])
-    v, _ = hankel_transform(cs, ps)
+    v = hankel_transform(cs, ps)
     shape = v**2 * (1.0 + ps**2 / 4.0) ** 3
     assert np.max(np.abs(shape / shape[0] - 1.0)) < 1e-3
 
@@ -131,11 +145,13 @@ def test_doubling_tolerance_consistency(tables_r2):
 
 
 def test_validation_errors(tables_r2):
-    cs, _ = tables_r2["1s"]
+    cs, tab = tables_r2["1s"]
     with pytest.raises(ValueError):
         hankel_transform(cs, np.array([-0.5]))
     with pytest.raises(ValueError):
         build_table(cs, p_tail_tolerance=0.0)
     with pytest.raises(ValueError):
         build_table(cs, p_tail_tolerance=1.0)
+    with pytest.raises(ValueError):
+        tab.moment(-2)  # <p^-2> diverges for m = 0
     assert issubclass(AccuracyError, RuntimeError)

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from hydrodisc.specfun import (
     assoc_laguerre,
     bessel_j,
-    bessel_j_pair,
     composite_gauss,
     gamma_fn,
     gauss_legendre,
@@ -170,34 +169,28 @@ def test_bessel_j_recurrence():
         assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
 
 
-def test_bessel_j_pair_asymptotic_branch_accuracy():
+def test_bessel_j_asymptotic_branch_accuracy():
     """The large-argument fast path stays within 2e-10 of the reference."""
-    from scipy.special import jv, jvp
+    from scipy.special import jv
 
     z = np.geomspace(60.0, 1e4, 400)
     for m in range(4):
-        val, der = bessel_j_pair(m, z)
-        assert np.max(np.abs(val - jv(m, z))) < 2e-10
-        assert np.max(np.abs(der - jvp(m, z))) < 2e-10
+        assert np.max(np.abs(bessel_j(m, z) - jv(m, z))) < 2e-10
 
 
-def test_bessel_j_pair_spans_the_branch_switch():
+def test_bessel_j_spans_the_branch_switch():
     """Mixed small and large arguments agree with scipy across the seam."""
-    from scipy.special import jv, jvp
+    from scipy.special import jv
 
     z = np.linspace(55.0, 65.0, 101)
     for m in range(4):
-        val, der = bessel_j_pair(m, z)
-        assert_allclose(val, jv(m, z), rtol=0, atol=2e-10)
-        assert_allclose(der, jvp(m, z), rtol=0, atol=2e-10)
+        assert_allclose(bessel_j(m, z), jv(m, z), rtol=0, atol=2e-10)
+    assert bessel_j(2, 70.0) == pytest.approx(jv(2, 70.0), abs=2e-10)
 
 
-def test_bessel_j_pair_at_zero():
-    for m, expect in ((0, 0.0), (1, 0.5), (2, 0.0)):
-        val, der = bessel_j_pair(m, np.array([0.0]))
-        assert der[0] == expect
-    val, _ = bessel_j_pair(0, np.array([0.0]))
-    assert val[0] == 1.0
+def test_bessel_j_at_zero():
+    for m, expect in ((0, 1.0), (1, 0.0), (2, 0.0), (3, 0.0)):
+        assert bessel_j(m, np.array([0.0]))[0] == expect
 
 
 def test_bessel_domain_errors():
@@ -206,6 +199,4 @@ def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(0, np.array([-0.1]))
     with pytest.raises(ValueError):
-        bessel_j_pair(-2, np.array([1.0]))
-    with pytest.raises(ValueError):
-        bessel_j_pair(1, np.array([-1.0]))
+        bessel_j(2, np.array([70.0, -1.0]))

@@ -1,38 +1,29 @@
 """Acceptance checks: the quantitative claims the package must reproduce.
 
-Each criterion prints one pass/fail line.  The shared default confinement
-sweep, evaluated with full measure reports and momentum tables, is computed
-once before the criteria and timed on its own line; the time shown per
-criterion is its own marginal cost.
+Each criterion prints one pass/fail line.  `run_all` takes the default
+confinement sweep grid through the sweep's own evaluator once, timed on its
+own line, and hands it to every criterion; criteria that need points off
+that grid (r0 = 30, the crossing windows) evaluate them the same way.  A
+point whose solve or quadrature fails re-raises its error, naming the point.
+The time shown per criterion is its own marginal cost.
 
-Run via `hydrodisc verify`, `python3 -m hydrodisc.acceptance`, or the
-pytest wrapper in tests/test_acceptance.py.
+Run via `hydrodisc verify` or the pytest wrapper in tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .confined import ConfinedState, coulomb_expectation, solve
+from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import StateLabel, free_energy, free_measures, table1_states
-from .measures import (
-    MeasureReport,
-    fisher_uncertainty_check,
-    free_momentum_report,
-    free_position_report,
-    momentum_measures,
-    position_measures,
-)
-from .momentum import RadialMomentumTable, build_table
-from .sweep import DEFAULT_STATES, SweepConfig, radii
+from .measures import fisher_uncertainty_check, free_momentum_report, free_position_report
+from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
 
-__all__ = ["run_all", "main", "CRITERIA"]
+__all__ = ["run_all", "CRITERIA"]
 
 # The reference table as printed (V_pos, V_mom, F_pos, F_mom, CR_pos, CR_mom).
 # F_mom(2s) = 58.2000 is the known misprint, adjudicated in criterion 1;
@@ -44,51 +35,16 @@ _TABLE1_PRINTED = {
     "3d": (9.3750, 0.0245, 0.1280, 62.5000, 1.2000, 1.5312),
 }
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One evaluated (state, r0) point with everything the criteria need."""
 
-    state: StateLabel
-    r0: float
-    cs: ConfinedState
-    table: RadialMomentumTable
-    pos: MeasureReport
-    mom: MeasureReport
+def _complete(ev: PointEvaluation) -> PointEvaluation:
+    """The evaluation itself; a failed stage re-raises its error naming the point."""
+    if ev.error is not None:
+        where = f"{ev.state.label} r0={ev.r0:g} {ev.stage}"
+        raise type(ev.error)(f"{where}: {ev.error}") from ev.error
+    return ev
 
 
-_cache: dict[str, object] = {}
-
-
-def _evaluate(state: StateLabel, r0: float) -> CurvePoint:
-    cs = solve(state, r0)
-    table = build_table(cs)
-    return CurvePoint(state, r0, cs, table, position_measures(cs), momentum_measures(cs, table))
-
-
-def _curve() -> list[CurvePoint]:
-    """The default sweep grid evaluated with full measure reports."""
-    if "curve" not in _cache:
-        cfg = SweepConfig()
-        _cache["curve"] = [
-            _evaluate(StateLabel(n, m), float(r0))
-            for n, m in DEFAULT_STATES
-            for r0 in radii(cfg)
-        ]
-    return _cache["curve"]
-
-
-def _point(state: StateLabel, r0: float) -> CurvePoint:
-    key = ("point", state.n, state.m, r0)
-    if key not in _cache:
-        _cache[key] = _evaluate(state, r0)
-    return _cache[key]
-
-
-def _curve_for(state: StateLabel) -> list[CurvePoint]:
-    return [p for p in _curve() if p.state == state]
-
-
-def criterion_1() -> tuple[bool, str]:
+def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Reference-table closed forms at 4 decimals, with the F[gamma](2s) adjudication."""
     strict = 1.01e-4
     problems = []
@@ -124,7 +80,7 @@ def criterion_1() -> tuple[bool, str]:
     return (not problems, detail if not problems else "; ".join(problems))
 
 
-def criterion_2() -> tuple[bool, str]:
+def criterion_2(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Free-state quadrature oracles match closed forms (1e-6 pos, 1e-5 mom)."""
     problems = []
     worst_pos = worst_mom = 0.0
@@ -153,13 +109,15 @@ def criterion_2() -> tuple[bool, str]:
     return (not problems, detail if not problems else "; ".join(problems))
 
 
-def criterion_3() -> tuple[bool, str]:
+def criterion_3(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Free-limit convergence at r0 = 40: energies 1e-3, measures 2%."""
     problems = []
     worst = 0.0
-    for n, m in DEFAULT_STATES:
-        st = StateLabel(n, m)
-        p = _point(st, 40.0)
+    far = [p for p in grid if p.r0 == 40.0]
+    if len(far) != len(DEFAULT_STATES):
+        problems.append(f"the grid holds {len(far)} r0=40 points, not {len(DEFAULT_STATES)}")
+    for p in far:
+        st = p.state
         de = abs(p.cs.energy - free_energy(st))
         if de > 1e-3:
             problems.append(f"{st.label} energy off by {de:.2e}")
@@ -180,21 +138,21 @@ def criterion_3() -> tuple[bool, str]:
     return (not problems, detail if not problems else "; ".join(problems))
 
 
-def criterion_4() -> tuple[bool, str]:
+def criterion_4(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Variational energies upper-bound the grid oracle on the default grid."""
     worst = math.inf
     problems = []
-    for p in _curve():
+    for p in grid:
         ref = oracle_energy(p.state, p.r0)
         margin = p.cs.energy - ref
         worst = min(worst, margin)
         if margin < -1e-9:
             problems.append(f"{p.state.label} r0={p.r0:.3f} margin {margin:.2e}")
-    detail = f"{len(_curve())} points vs 4096-cell oracle, worst margin {worst:+.2e}"
+    detail = f"{len(grid)} points vs 4096-cell oracle, worst margin {worst:+.2e}"
     return (not problems, detail if not problems else "; ".join(problems))
 
 
-def criterion_5() -> tuple[bool, str]:
+def criterion_5(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """(2s;3d) energy inversion: exactly one sign change on [0.8, 1.3]."""
     s2, d3 = StateLabel(2, 0), StateLabel(3, 2)
     grid = np.linspace(0.8, 1.3, 11)
@@ -223,13 +181,13 @@ def criterion_5() -> tuple[bool, str]:
     return (changes == 1, detail)
 
 
-def criterion_6() -> tuple[bool, str]:
+def criterion_6(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Cramer-Rao ordering 3d < 2p < 1s < 2s in both spaces at r0 = 30."""
     order = ["3d", "2p", "1s", "2s"]
     vals = {}
     for n, m in DEFAULT_STATES:
         st = StateLabel(n, m)
-        p = _point(st, 30.0)
+        p = _complete(evaluate(st, 30.0))
         vals[st.label] = (p.pos.cramer_rao, p.mom.cramer_rao)
     ok = True
     for space, idx in (("position", 0), ("momentum", 1)):
@@ -253,10 +211,10 @@ def _local_extrema(r: np.ndarray, y: np.ndarray, kind: str) -> list[float]:
     return out
 
 
-def criterion_7() -> tuple[bool, str]:
+def criterion_7(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Structural extrema of the Cramer-Rao curves (2s min/max, 2p;3d cross)."""
     problems = []
-    pts_2s = _curve_for(StateLabel(2, 0))
+    pts_2s = [p for p in grid if p.state == StateLabel(2, 0)]
     r = np.array([p.r0 for p in pts_2s])
     cr_pos = np.array([p.pos.cramer_rao for p in pts_2s])
     cr_mom = np.array([p.mom.cramer_rao for p in pts_2s])
@@ -270,8 +228,8 @@ def criterion_7() -> tuple[bool, str]:
     if not maxima:
         problems.append("2s momentum CR has no interior maximum in [3.5, 7]")
 
-    pts_2p = _curve_for(StateLabel(2, 1))
-    pts_3d = _curve_for(StateLabel(3, 2))
+    pts_2p = [p for p in grid if p.state == StateLabel(2, 1)]
+    pts_3d = [p for p in grid if p.state == StateLabel(3, 2)]
     diff = np.array(
         [a.mom.cramer_rao - b.mom.cramer_rao for a, b in zip(pts_2p, pts_3d)]
     )
@@ -292,7 +250,7 @@ def criterion_7() -> tuple[bool, str]:
     return (not problems, detail)
 
 
-def _kinetic_residual(p: CurvePoint) -> float:
+def _kinetic_residual(p: PointEvaluation) -> float:
     """Relative gap between the table's own <p^2> and 2<T> = 2(E + <1/r>).
 
     The reported momentum <p^2> is 2<T> by construction, so the identity is
@@ -303,12 +261,12 @@ def _kinetic_residual(p: CurvePoint) -> float:
     return abs(table_second - kinetic) / table_second
 
 
-def criterion_8() -> tuple[bool, str]:
+def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Uncertainty products, moment bounds, norms, Parseval, kinetic identity."""
     problems = []
     worst_kin = worst_norm = 0.0
     worst_ff = math.inf
-    for p in _curve():
+    for p in grid:
         st = p.state
         ff = p.pos.fisher * p.mom.fisher
         if st.m == 0:
@@ -328,33 +286,32 @@ def criterion_8() -> tuple[bool, str]:
         if rel > 1e-4:
             problems.append(f"{st.label} r0={p.r0:.3f} kinetic identity off {rel:.2e}")
     detail = (
-        f"{len(_curve())} points: min F*F (m=0) {worst_ff:.3f}, worst norm/Parseval "
+        f"{len(grid)} points: min F*F (m=0) {worst_ff:.3f}, worst norm/Parseval "
         f"{worst_norm:.1e}, worst kinetic residual {worst_kin:.1e}"
     )
     return (not problems, detail if not problems else "; ".join(problems[:4]))
 
 
-def _variance_crossings(st: StateLabel, grid: np.ndarray) -> list[tuple[float, float]]:
+def _variance_crossings(st: StateLabel, r_values: np.ndarray) -> list[tuple[float, float]]:
     ground = StateLabel(1, 0)
     diff = [
-        _point(st, float(r0)).mom.variance - _point(ground, float(r0)).mom.variance
-        for r0 in grid
+        _complete(evaluate(st, float(r0))).mom.variance
+        - _complete(evaluate(ground, float(r0))).mom.variance
+        for r0 in r_values
     ]
     signs = np.sign(diff)
     flips = np.nonzero(signs[:-1] != signs[1:])[0]
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
+    return [(float(r_values[i]), float(r_values[i + 1])) for i in flips]
 
 
-def criterion_9() -> tuple[bool, str]:
+def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Momentum-variance crossings with the ground state in the stated windows."""
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
     problems = []
     found = []
-    per_window = {}
     for label, (lo, hi) in windows.items():
         st = next(s for s in table1_states() if s.label == label)
         brackets = _variance_crossings(st, np.linspace(lo, hi, 7))
-        per_window[label] = len(brackets) == 1
         if len(brackets) == 1:
             found.append(f"(1s;{label}) in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]")
             continue
@@ -365,11 +322,11 @@ def criterion_9() -> tuple[bool, str]:
             f"(1s;{label}) has {len(brackets)} crossings in [{lo}, {hi}]; "
             f"the pipeline curves actually cross at {where}"
         )
-    _cache["crossing_windows"] = per_window
     detail = "; ".join(found + problems)
     return (not problems, detail)
 
 
+# Every criterion takes the evaluated default grid, whether it reads it or not.
 CRITERIA = [
     ("reference table closed forms", criterion_1),
     ("free-state quadrature oracles", criterion_2),
@@ -386,31 +343,21 @@ CRITERIA = [
 def run_all(verbose: bool = False) -> list[tuple[str, bool, str]]:
     """Evaluate all criteria; returns (name, passed, printed line) triples."""
     t0 = time.time()
-    curve = _curve()
+    grid = [
+        _complete(evaluate(StateLabel(n, m), float(r0)))
+        for n, m in DEFAULT_STATES
+        for r0 in radii(SweepConfig())
+    ]
     if verbose:
-        print(f"shared default-grid evaluation: {len(curve)} points "
+        print(f"shared default-grid evaluation: {len(grid)} points "
               f"[{time.time() - t0:.1f}s]", flush=True)
     results = []
     for idx, (name, fn) in enumerate(CRITERIA, start=1):
         t0 = time.time()
-        ok, detail = fn()
+        ok, detail = fn(grid)
         dt = time.time() - t0
         line = f"criterion {idx} ({name}): {'PASS' if ok else 'FAIL'} [{dt:.1f}s] {detail}"
         if verbose:
             print(line, flush=True)
         results.append((name, ok, line))
     return results
-
-
-def main() -> int:
-    results = run_all(verbose=True)
-    failed = [name for name, ok, _ in results if not ok]
-    if failed:
-        print(f"{len(failed)} of {len(results)} criteria FAILED: {', '.join(failed)}")
-        return 2
-    print(f"all {len(results)} acceptance criteria passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

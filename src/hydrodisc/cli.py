@@ -1,11 +1,12 @@
 """Command-line interface: confinement sweeps, the free-atom table, verify.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-convergence or accuracy
-failure, 3 I/O failure.  A sweep with per-point failures still writes its
-outputs (failed rows carry an error marker) and exits with code 2 so
-scripts notice.  Only bad arguments and config values are usage errors; any
-other exception (a ValueError raised inside the numerics included) is a
-programming error and propagates with its traceback.
+failure (for `verify`, also any failed criterion), 3 I/O failure, 4 internal
+error.  A sweep with per-point failures still writes its outputs (failed
+rows carry an error marker) and exits with code 2 so scripts notice.  Only
+bad arguments and config values are usage errors; any other exception (a
+ValueError raised inside the numerics, a broken --jobs worker pool) is a
+fault of the program: its traceback goes to stderr and the exit code is 4.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .confined import ConvergenceError
 from .momentum import AccuracyError
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -139,7 +142,12 @@ def _run_verify_command() -> int:
     from .acceptance import run_all
 
     results = run_all(verbose=True)
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_NUMERICAL
+    failed = [name for name, ok, _ in results if not ok]
+    if failed:
+        print(f"{len(failed)} of {len(results)} criteria FAILED: {', '.join(failed)}")
+        return EXIT_NUMERICAL
+    print(f"all {len(results)} acceptance criteria passed")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f" ({target})" if target else ""
         print(f"i/o failure{where}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -95,8 +95,6 @@ def trial_radial_wf(
     place their nodes, and nodeless trials carry (0, c_2) with a single
     curvature-correction term (see node_coefficients).
     """
-    if state.d != 2:
-        raise ValueError("the confined solver covers the 2D problem only")
     if len(node_coeffs) < state.n_r:
         raise ValueError(
             f"{state.label} needs at least {state.n_r} node coefficients, "

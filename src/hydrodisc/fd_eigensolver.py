@@ -57,8 +57,6 @@ def oracle_energy(
     state: StateLabel, r0: float, n_cells: int = 4096, richardson: bool = True
 ) -> float:
     """Eigenvalue with the node count of the given state: level n - |m| - 1 of its m block."""
-    if state.d != 2:
-        raise ValueError("the grid oracle covers the 2D problem only")
     idx = state.n_r
     return float(wall_levels(state.m, r0, k=idx + 1, n_cells=n_cells, richardson=richardson)[idx])
 

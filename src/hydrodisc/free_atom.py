@@ -1,4 +1,4 @@
-"""Closed-form measures and wavefunctions of the free d-dimensional hydrogen atom.
+"""Closed-form measures and wavefunctions of the free two-dimensional hydrogen atom.
 
 Everything here is analytic: energies, radial wavefunctions in position and
 momentum space, first and second moments, Fisher information, and the
@@ -6,12 +6,11 @@ Crámer-Rao complexity built from them.  These serve as oracle values for the
 confined solver in its weak-confinement limit and as reference rows for the
 free-atom table.
 
-Atomic units throughout.  The dimension d enters through the grand quantum
-number eta = n + (d-3)/2 and L = l + (d-3)/2; the default d = 2 is the case
-the rest of the package studies, where the angular quantum number is the
-single magnetic number m.  For d > 2 the second label is read as the orbital
-quantum number of an ns (m = 0) or circular-type (all angular numbers equal)
-state, the scope the closed forms below cover.
+Atomic units throughout.  A state is labelled by its principal number n and
+its magnetic number m; the formulas use the grand quantum number
+eta = n - 1/2, and the grand orbital number L = |m| - 1/2 enters only
+through L(L+1) = m^2 - 1/4 and 2L + 1 = 2|m|.  <p> has a closed form for the
+ns (m = 0) and circular (|m| = n - 1) states only.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ __all__ = [
     "momentum_second_moment",
     "momentum_variance",
     "momentum_fisher",
-    "circular_position_moment",
     "circular_momentum_moment",
-    "ground_momentum_moment",
     "free_measures",
     "table1_states",
     "table1",
@@ -58,34 +55,26 @@ MOMENTUM_FISHER_2S_NOTE = (
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Quantum numbers (n, m) of a hydrogenic state in d dimensions."""
+    """Quantum numbers (n, m) of a hydrogenic state in two dimensions."""
 
     n: int
     m: int
-    d: int = 2
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got {self.n}")
         if abs(self.m) > self.n - 1:
             raise ValueError(f"|m| must be <= n-1, got (n={self.n}, m={self.m})")
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
 
     @property
     def l(self) -> int:
-        """Orbital angular quantum number (|m| in two dimensions)."""
+        """Angular quantum number |m|."""
         return abs(self.m)
 
     @property
     def eta(self) -> float:
-        """Grand quantum number n + (d-3)/2."""
-        return self.n + 0.5 * (self.d - 3)
-
-    @property
-    def big_l(self) -> float:
-        """Grand orbital number L = l + (d-3)/2."""
-        return self.l + 0.5 * (self.d - 3)
+        """Grand quantum number n - 1/2."""
+        return self.n - 0.5
 
     @property
     def lam(self) -> float:
@@ -143,22 +132,24 @@ def free_energy(state: StateLabel) -> float:
     return -0.5 / state.eta**2
 
 
+def _orbital_term(state: StateLabel) -> float:
+    """L(L+1) = m^2 - 1/4, exact in floating point."""
+    return state.l**2 - 0.25
+
+
 def position_mean(state: StateLabel) -> float:
     """<r> = [3 eta^2 - L(L+1)] / 2."""
-    big_l = state.big_l
-    return 0.5 * (3.0 * state.eta**2 - big_l * (big_l + 1.0))
+    return 0.5 * (3.0 * state.eta**2 - _orbital_term(state))
 
 
 def position_second_moment(state: StateLabel) -> float:
     """<r^2> = eta^2 [5 eta^2 - 3L(L+1) + 1] / 2."""
-    big_l = state.big_l
-    return 0.5 * state.eta**2 * (5.0 * state.eta**2 - 3.0 * big_l * (big_l + 1.0) + 1.0)
+    return 0.5 * state.eta**2 * (5.0 * state.eta**2 - 3.0 * _orbital_term(state) + 1.0)
 
 
 def position_variance(state: StateLabel) -> float:
     """V[rho] = [eta^2 (eta^2 + 2) - L^2 (L+1)^2] / 4."""
-    big_l = state.big_l
-    return 0.25 * (state.eta**2 * (state.eta**2 + 2.0) - big_l**2 * (big_l + 1.0) ** 2)
+    return 0.25 * (state.eta**2 * (state.eta**2 + 2.0) - _orbital_term(state) ** 2)
 
 
 def position_fisher(state: StateLabel) -> float:
@@ -172,23 +163,22 @@ def momentum_second_moment(state: StateLabel) -> float:
 
 
 def momentum_fisher(state: StateLabel) -> float:
-    """F[gamma] = 2 eta^2 [5 eta^2 - 3L(L+1) - |m|(8 eta - 6L - 3) + 1]."""
-    big_l = state.big_l
+    """F[gamma] = 2 eta^2 [5 eta^2 - 3L(L+1) - |m|(8 eta - 6L - 3) + 1], 6L + 3 = 6|m|."""
     eta = state.eta
     return (
         2.0
         * eta**2
         * (
             5.0 * eta**2
-            - 3.0 * big_l * (big_l + 1.0)
-            - state.l * (8.0 * eta - 6.0 * big_l - 3.0)
+            - 3.0 * _orbital_term(state)
+            - state.l * (8.0 * eta - 6.0 * state.l)
             + 1.0
         )
     )
 
 
-def _momentum_mean_ns_2d(n: int) -> float:
-    # alternating finite sum, exact for every ns state of the 2D atom
+def _momentum_mean_ns(n: int) -> float:
+    # alternating finite sum, exact for every ns state
     total = 0.0
     for j in range(n):
         term = (
@@ -204,58 +194,31 @@ def _momentum_mean_ns_2d(n: int) -> float:
     return total
 
 
-def circular_position_moment(state: StateLabel, alpha: float) -> float:
-    """<r^alpha> of a circular state, alpha > -(2n + d - 2)."""
-    if not state.is_circular:
-        raise ValueError(f"{state.label} is not a circular state")
-    two_eta = 2.0 * state.eta
-    if alpha <= -(two_eta + 1.0):
-        raise ValueError(f"moment order {alpha} diverges for {state.label}")
-    return (0.5 * state.lam) ** alpha * gamma_fn(two_eta + 1.0 + alpha) / gamma_fn(two_eta + 1.0)
-
-
 def circular_momentum_moment(state: StateLabel, alpha: float) -> float:
-    """<p^alpha> of a circular state, -(2n + d - 2) < alpha < 2n + d."""
+    """<p^alpha> of a circular state, -2n < alpha < 2n + 2."""
     if not state.is_circular:
         raise ValueError(f"{state.label} is not a circular state")
-    n, d = state.n, state.d
-    if not (-(2.0 * n + d - 2.0) < alpha < 2.0 * n + d):
+    n = state.n
+    if not (-2.0 * n < alpha < 2.0 * n + 2.0):
         raise ValueError(f"moment order {alpha} diverges for {state.label}")
-    half = n + 0.5 * (d - 2.0)
     return (
         (1.0 / state.eta) ** alpha
-        * gamma_fn(n + 0.5 * (d + alpha - 2.0))
-        * gamma_fn(n + 0.5 * (d - alpha))
-        / (half * gamma_fn(half) ** 2)
-    )
-
-
-def ground_momentum_moment(d: int, alpha: float) -> float:
-    """<p^alpha> of the d-dimensional ground state, -d < alpha < d + 2."""
-    if not (-d < alpha < d + 2):
-        raise ValueError(f"moment order {alpha} diverges for the {d}-dimensional 1s state")
-    return (
-        (2.0 / (d - 1.0)) ** alpha
-        * 2.0
-        * gamma_fn(0.5 * (d - alpha) + 1.0)
-        * gamma_fn(0.5 * (d + alpha))
-        / (d * gamma_fn(0.5 * d) ** 2)
+        * gamma_fn(n + 0.5 * alpha)
+        * gamma_fn(n + 1.0 - 0.5 * alpha)
+        / (n * gamma_fn(float(n)) ** 2)
     )
 
 
 def momentum_mean(state: StateLabel) -> float:
-    """<p> where a closed form exists: ns states (d = 2) and circular states.
+    """<p> where a closed form exists: ns and circular states.
 
     No general closed form for <p> is known; other states raise ValueError.
     """
     if state.is_circular:
         return circular_momentum_moment(state, 1.0)
     if state.is_ns:
-        if state.d == 2:
-            return _momentum_mean_ns_2d(state.n)
-        if state.n == 1:
-            return ground_momentum_moment(state.d, 1.0)
-    raise ValueError(f"<p> has no implemented closed form for {state.label} (d={state.d})")
+        return _momentum_mean_ns(state.n)
+    raise ValueError(f"<p> has no implemented closed form for {state.label}")
 
 
 def momentum_variance(state: StateLabel) -> float:
@@ -286,12 +249,12 @@ def table1() -> list[tuple[StateLabel, FreeMeasures]]:
 
 
 def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarray]:
-    """Radial position wavefunction R(r) and dR/dr, normalized by Int R^2 r^(d-1) dr = 1."""
+    """Radial position wavefunction R(r) and dR/dr, normalized by Int R^2 r dr = 1."""
     lam = state.lam
     l, k = state.l, state.n_r
     rt = np.asarray(r, dtype=float) / lam
-    poly = orthonormal_laguerre(k, 2.0 * state.big_l + 1.0, rt)
-    const = math.sqrt(lam ** (-state.d) / (2.0 * state.eta))
+    poly = orthonormal_laguerre(k, 2.0 * l, rt)
+    const = math.sqrt(lam**-2 / (2.0 * state.eta))
     envelope = np.exp(-0.5 * rt)
     power = rt**l
     value = const * power * envelope * poly.value
@@ -306,16 +269,16 @@ def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarra
 
 
 def free_radial_momentum_wf(state: StateLabel, p) -> tuple[np.ndarray, np.ndarray]:
-    """Radial momentum wavefunction M(p) and dM/dp, normalized by Int M^2 p^(d-1) dp = 1."""
-    eta, d = state.eta, state.d
+    """Radial momentum wavefunction M(p) and dM/dp, normalized by Int M^2 p dp = 1."""
+    eta = state.eta
     l, k = state.l, state.n_r
-    alpha = state.big_l + 1.0
+    alpha = l + 0.5
     p = np.asarray(p, dtype=float)
     s2 = (eta * p) ** 2
     y = (1.0 - s2) / (1.0 + s2)
-    a_exp = 1.5 + 0.25 * (d - 2.0) + 0.25 * (2.0 * state.big_l + 1.0)
-    b_exp = 0.25 * (2.0 * state.big_l + 1.0) - 0.25 * (d - 2.0)  # = l/2
-    const = eta ** (0.5 * d)
+    a_exp = 1.5 + 0.5 * l
+    b_exp = 0.5 * l
+    const = eta
     poly = gegenbauer_orthonormal(k, alpha, y)
 
     positive = p > 0.0

@@ -5,8 +5,8 @@ V = <x^2> - <x>^2 with moments taken against the radial measure x dx, and
 the Fisher information of the theta-independent density reduces to
 F = 4 Int (dW/dx)^2 x dx where W is the radial wavefunction.  The product
 C = F * V is the Cramer-Rao complexity; it is bounded below by the squared
-dimension over each space separately, and the cross products <x^2> F are
-bounded below by d^2 as well.
+dimension, 4, in each space separately, and the cross products <x^2> F are
+bounded below by 4 as well.
 
 Position-space integrals run on the same Gauss-Legendre wall grid the
 variational solver used, so the reported norm residual doubles as a check
@@ -32,7 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confined import ConfinedState
-from .free_atom import StateLabel, free_radial_momentum_wf, free_radial_position_wf
+from .free_atom import (
+    StateLabel,
+    free_radial_momentum_wf,
+    free_radial_position_wf,
+    position_mean,
+)
 from .momentum import AccuracyError, RadialMomentumTable
 from .specfun import composite_gauss, semi_axis_rule
 
@@ -128,7 +133,7 @@ def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureR
 
 def free_position_report(state: StateLabel, order: int = 16, levels: int = 14) -> MeasureReport:
     """Quadrature-based measures of the free atom's position density."""
-    scale = 0.5 * (3.0 * state.eta**2 - state.big_l * (state.big_l + 1.0))
+    scale = position_mean(state)
     r, w = semi_axis_rule(scale, order=order, levels=levels)
     value, deriv = free_radial_position_wf(state, r)
     cell = w * value * value
@@ -176,12 +181,11 @@ def fisher_uncertainty_check(
 ) -> bool:
     """Whether the Fisher informations satisfy F_pos * F_mom >= 16.
 
-    The product bound (2d)^2 holds for real wavefunctions, i.e. the m = 0
+    The product bound 16 holds for real wavefunctions, i.e. the m = 0
     states here.  For m != 0 the product can fall below 16 (the 2p state
     near the free limit reaches about 10.7), so callers should treat the
     result as informational for those states.
     """
     if pos.space != "position" or mom.space != "momentum":
         raise ValueError("expected one position report and one momentum report")
-    bound = (2.0 * state.d) ** 2
-    return bool(pos.fisher * mom.fisher >= bound)
+    return bool(pos.fisher * mom.fisher >= 16.0)

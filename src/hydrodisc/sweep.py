@@ -1,12 +1,15 @@
 """Confinement sweeps: orchestration over (state, r0) points and file output.
 
 A sweep solves every requested state at every wall radius, computes the
-position and momentum measures, and collects one row per point.  Numerical
-failures (non-converged solve, unmet quadrature accuracy) are isolated: the
-affected row keeps its identifying columns, carries nan in the numeric
-fields and an error marker in a trailing field, and the rest of the sweep
-proceeds.  Rows are sorted by (n, m, r0) and printed in full-precision
-scientific notation so identical configurations give byte-identical files.
+position and momentum measures, and collects one row per point.  `evaluate`
+is the one (state, r0) pipeline: `evaluate_point` projects its result onto
+a row, and `hydrodisc verify` reads the whole result (solved state, table,
+both reports).  Numerical failures (non-converged solve, unmet quadrature
+accuracy) are isolated: the affected row keeps its identifying columns,
+carries nan in the numeric fields and an error marker in a trailing field,
+and the rest of the sweep proceeds.  Rows are sorted by (n, m, r0) and
+printed in full-precision scientific notation so identical configurations
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .confined import MIN_WALL_RADIUS, ConvergenceError, solve
+from .confined import MIN_WALL_RADIUS, ConfinedState, ConvergenceError, solve
 from .free_atom import StateLabel, free_measures, table1_states
-from .measures import momentum_measures, position_measures
-from .momentum import AccuracyError, build_table
+from .measures import MeasureReport, momentum_measures, position_measures
+from .momentum import AccuracyError, RadialMomentumTable, build_table
 
 __all__ = [
     "SweepConfig",
@@ -28,6 +31,8 @@ __all__ = [
     "DEFAULT_STATES",
     "CSV_HEADER",
     "radii",
+    "PointEvaluation",
+    "evaluate",
     "evaluate_point",
     "run_sweep",
     "emit_csv",
@@ -137,6 +142,52 @@ def _flatten_error(exc: Exception, stage: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
+@dataclass(frozen=True)
+class PointEvaluation:
+    """One (state, r0) point taken through the pipeline as far as it got.
+
+    The stages run in order (solve, position, momentum); the first that
+    fails sets `stage` and `error` and leaves its own and every later result
+    None.
+    """
+
+    state: StateLabel
+    r0: float
+    cs: ConfinedState | None = None
+    pos: MeasureReport | None = None
+    table: RadialMomentumTable | None = None
+    mom: MeasureReport | None = None
+    stage: str | None = None
+    error: ConvergenceError | AccuracyError | None = None
+
+
+def evaluate(
+    state: StateLabel,
+    r0: float,
+    quadrature_order: int = 200,
+    p_tail_tolerance: float = 1e-6,
+) -> PointEvaluation:
+    """Solve one point, then compute its position and momentum measures.
+
+    Convergence and accuracy failures end the evaluation at their stage;
+    anything else (a genuine usage or programming error) propagates.
+    """
+    try:
+        cs = solve(state, r0, order=quadrature_order)
+    except ConvergenceError as exc:
+        return PointEvaluation(state, r0, stage="solve", error=exc)
+    try:
+        pos = position_measures(cs)
+    except AccuracyError as exc:
+        return PointEvaluation(state, r0, cs, stage="position", error=exc)
+    try:
+        table = build_table(cs, p_tail_tolerance=p_tail_tolerance)
+        mom = momentum_measures(cs, table)
+    except AccuracyError as exc:
+        return PointEvaluation(state, r0, cs, pos, stage="momentum", error=exc)
+    return PointEvaluation(state, r0, cs, pos, table, mom)
+
+
 def evaluate_point(
     n: int,
     m: int,
@@ -144,41 +195,30 @@ def evaluate_point(
     quadrature_order: int = 200,
     p_tail_tolerance: float = 1e-6,
 ) -> SweepRow:
-    """Solve one (state, r0) point and compute both measure sets.
-
-    Convergence and accuracy failures are captured in the row's error
-    field; anything else (a genuine usage or programming error) propagates.
-    """
-    state = StateLabel(n, m)
+    """The sweep row of one (state, r0) point; a failed stage fills `error`."""
+    ev = evaluate(StateLabel(n, m), r0, quadrature_order, p_tail_tolerance)
     row = SweepRow(n=n, m=m, r0=r0)
-    try:
-        cs = solve(state, r0, order=quadrature_order)
-    except ConvergenceError as exc:
-        return replace(row, error=_flatten_error(exc, "solve"))
-    row = replace(row, alpha_opt=cs.alpha, energy=cs.energy)
-    try:
-        pos = position_measures(cs)
-    except AccuracyError as exc:
-        return replace(row, error=_flatten_error(exc, "position"))
-    row = replace(
-        row,
-        v_pos=pos.variance,
-        f_pos=pos.fisher,
-        cr_pos=pos.cramer_rao,
-        pos_norm_residual=pos.norm_residual,
-    )
-    try:
-        table = build_table(cs, p_tail_tolerance=p_tail_tolerance)
-        mom = momentum_measures(cs, table)
-    except AccuracyError as exc:
-        return replace(row, error=_flatten_error(exc, "momentum"))
-    return replace(
-        row,
-        v_mom=mom.variance,
-        f_mom=mom.fisher,
-        cr_mom=mom.cramer_rao,
-        mom_norm_residual=mom.norm_residual,
-    )
+    if ev.cs is not None:
+        row = replace(row, alpha_opt=ev.cs.alpha, energy=ev.cs.energy)
+    if ev.pos is not None:
+        row = replace(
+            row,
+            v_pos=ev.pos.variance,
+            f_pos=ev.pos.fisher,
+            cr_pos=ev.pos.cramer_rao,
+            pos_norm_residual=ev.pos.norm_residual,
+        )
+    if ev.mom is not None:
+        row = replace(
+            row,
+            v_mom=ev.mom.variance,
+            f_mom=ev.mom.fisher,
+            cr_mom=ev.mom.cramer_rao,
+            mom_norm_residual=ev.mom.norm_residual,
+        )
+    if ev.error is not None:
+        row = replace(row, error=_flatten_error(ev.error, ev.stage))
+    return row
 
 
 def _evaluate_task(task: tuple[int, int, float, int, float]) -> SweepRow:

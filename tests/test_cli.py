@@ -2,7 +2,8 @@
 
 import pytest
 
-from hydrodisc.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from hydrodisc.cli import EXIT_INTERNAL, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from hydrodisc.confined import ConvergenceError
 from hydrodisc.sweep import CSV_HEADER, parse_csv, table1_text
 
 
@@ -96,7 +97,7 @@ def test_csv_header_contract(tmp_path):
 
 
 def test_numerical_value_error_is_not_a_usage_error(tmp_path, monkeypatch, capsys):
-    """A ValueError raised inside the numerics propagates; bad flags still exit 1."""
+    """A ValueError raised inside the numerics is an internal error; bad flags still exit 1."""
 
     def broken_solve(*args, **kwargs):
         raise ValueError("inside the solver")
@@ -104,11 +105,35 @@ def test_numerical_value_error_is_not_a_usage_error(tmp_path, monkeypatch, capsy
     monkeypatch.setattr("hydrodisc.sweep.solve", broken_solve)
     argv = ["sweep", "--states", "1,0", "--r0-min", "1.0", "--r0-max", "2.0",
             "--points", "2", "--out", str(tmp_path)]
-    with pytest.raises(ValueError, match="inside the solver"):
-        main(argv)
-    assert "usage error" not in capsys.readouterr().err
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "ValueError: inside the solver" in err
+    assert "usage error" not in err
     assert main(argv[:-3] + ["1", "--out", str(tmp_path)]) == EXIT_USAGE
     assert "points" in capsys.readouterr().err
+
+
+def test_verify_names_a_failed_grid_point(monkeypatch, capsys):
+    """A default-grid point that does not converge ends verify with exit 2, naming it."""
+
+    def stuck_solve(state, r0, **kwargs):
+        raise ConvergenceError("alpha bracket did not settle")
+
+    monkeypatch.setattr("hydrodisc.sweep.solve", stuck_solve)
+    assert main(["verify"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: 1s r0=0.5 solve: alpha bracket did not settle" in err
+
+
+def test_verify_summarizes_failed_criteria(monkeypatch, capsys):
+    results = [("first", True, "criterion 1 ..."), ("second", False, "criterion 2 ...")]
+    monkeypatch.setattr("hydrodisc.acceptance.run_all", lambda verbose: results)
+    assert main(["verify"]) == EXIT_NUMERICAL
+    assert "1 of 2 criteria FAILED: second" in capsys.readouterr().out
+    monkeypatch.setattr("hydrodisc.acceptance.run_all", lambda verbose: results[:1])
+    assert main(["verify"]) == EXIT_OK
+    assert "all 1 acceptance criteria passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--r0-min", "--points"])

@@ -68,5 +68,3 @@ def test_validation_errors():
         wall_levels(0, 2.0, k=0)
     with pytest.raises(ValueError):
         wall_levels(0, 2.0, k=4, n_cells=32)
-    with pytest.raises(ValueError):
-        oracle_energy(StateLabel(1, 0, d=3), 2.0)

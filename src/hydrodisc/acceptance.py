@@ -271,7 +271,7 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
         ff = p.pos.fisher * p.mom.fisher
         if st.m == 0:
             worst_ff = min(worst_ff, ff)
-            if not fisher_uncertainty_check(p.pos, p.mom, st):
+            if not fisher_uncertainty_check(p.pos, p.mom):
                 problems.append(f"{st.label} r0={p.r0:.3f} Fisher product {ff:.3f} < 16")
         if p.pos.second_moment * p.pos.fisher < 4.0:
             problems.append(f"{st.label} r0={p.r0:.3f} <r^2>F[rho] < 4")

@@ -60,6 +60,8 @@ __all__ = [
 
 MIN_WALL_RADIUS = 0.05
 _ALPHA_FLOOR = 1e-6
+_ALPHA_XATOL = 1e-10  # absolute alpha tolerance of the bounded Brent search
+_MAX_EXPANSIONS = 24  # bracket growths before the search gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -232,13 +234,7 @@ class ConfinedState:
         return float(deriv[0])
 
 
-def solve(
-    state: StateLabel,
-    r0: float,
-    order: int = 200,
-    xatol: float = 1e-10,
-    max_expansions: int = 24,
-) -> ConfinedState:
+def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
     """Minimize E(alpha) for one state and wall radius.
 
     The outer search is one-dimensional in alpha; at each alpha the node
@@ -259,9 +255,9 @@ def solve(
     lo, hi = 0.2 / eta, 5.0 / eta
     hi_cap = 600.0 / r0
     best = None
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         res = minimize_scalar(
-            energy_at, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+            energy_at, bounds=(lo, hi), method="bounded", options={"xatol": _ALPHA_XATOL}
         )
         if not res.success:
             raise ConvergenceError(

@@ -26,7 +26,6 @@ as the wall recedes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,22 +88,30 @@ def _build_report(
     )
 
 
+def _radial_report(
+    space: str, x: np.ndarray, w: np.ndarray, value: np.ndarray, deriv: np.ndarray
+) -> MeasureReport:
+    """Report of a radial wavefunction sampled on a quadrature rule (x, w).
+
+    The Fisher integrand (rho')^2 / rho factorizes to 4 W'(x)^2 x, which
+    stays finite across radial nodes.
+    """
+    cell = w * value * value
+    norm = float(np.sum(cell * x))
+    mean = float(np.sum(cell * x * x))
+    second = float(np.sum(cell * x**3))
+    fisher = 4.0 * float(np.sum(w * deriv * deriv * x))
+    return _build_report(space, mean, second, fisher, abs(norm - 1.0))
+
+
 def position_measures(cs: ConfinedState) -> MeasureReport:
     """Measures of the position density of an optimized confined state.
 
-    The Fisher integrand (rho')^2 / rho factorizes to 4 R'(r)^2 r, which
-    stays finite across radial nodes.  The m >= 1 states use the same
-    formula since the planar density carries no angular dependence.
+    The m >= 1 states use the radial Fisher formula too, since the planar
+    density carries no angular dependence.
     """
     grid = cs.grid()
-    r = grid.nodes
-    value, deriv = cs.radial(r)
-    cell = grid.weights * value * value
-    norm = float(np.sum(cell * r))
-    mean = float(np.sum(cell * r * r))
-    second = float(np.sum(cell * r**3))
-    fisher = 4.0 * float(np.sum(grid.weights * deriv * deriv * r))
-    return _build_report("position", mean, second, fisher, abs(norm - 1.0))
+    return _radial_report("position", grid.nodes, grid.weights, *cs.radial(grid.nodes))
 
 
 def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureReport:
@@ -135,13 +142,7 @@ def free_position_report(state: StateLabel, order: int = 16, levels: int = 14) -
     """Quadrature-based measures of the free atom's position density."""
     scale = position_mean(state)
     r, w = semi_axis_rule(scale, order=order, levels=levels)
-    value, deriv = free_radial_position_wf(state, r)
-    cell = w * value * value
-    norm = float(np.sum(cell * r))
-    mean = float(np.sum(cell * r * r))
-    second = float(np.sum(cell * r**3))
-    fisher = 4.0 * float(np.sum(w * deriv * deriv * r))
-    return _build_report("position", mean, second, fisher, abs(norm - 1.0))
+    return _radial_report("position", r, w, *free_radial_position_wf(state, r))
 
 
 def _compact_momentum_rule(
@@ -167,18 +168,10 @@ def _compact_momentum_rule(
 def free_momentum_report(state: StateLabel, order: int = 16, levels: int = 40) -> MeasureReport:
     """Quadrature-based measures of the free atom's momentum density."""
     p, w = _compact_momentum_rule(state, order=order, levels=levels)
-    value, deriv = free_radial_momentum_wf(state, p)
-    cell = w * value * value
-    norm = float(np.sum(cell * p))
-    mean = float(np.sum(cell * p * p))
-    second = float(np.sum(cell * p**3))
-    fisher = 4.0 * float(np.sum(w * deriv * deriv * p))
-    return _build_report("momentum", mean, second, fisher, abs(norm - 1.0))
+    return _radial_report("momentum", p, w, *free_radial_momentum_wf(state, p))
 
 
-def fisher_uncertainty_check(
-    pos: MeasureReport, mom: MeasureReport, state: StateLabel
-) -> bool:
+def fisher_uncertainty_check(pos: MeasureReport, mom: MeasureReport) -> bool:
     """Whether the Fisher informations satisfy F_pos * F_mom >= 16.
 
     The product bound 16 holds for real wavefunctions, i.e. the m = 0

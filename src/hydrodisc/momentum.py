@@ -3,13 +3,14 @@
 The 2D Fourier transform of R(r) e^(im theta) factorizes into a radial
 Hankel-type integral with kernel J_m(pr); the unimodular phase i^(3m)
 e^(im theta_p) is dropped since every downstream quantity uses |Phi|^2 only.
-Two amplitude conventions coexist deliberately:
+The radial amplitude is taken with the angular factor (2 pi)^(-1/2)
+absorbed,
 
-  * hankel_transform returns phi(p) = (2 pi)^(-1/2) Int_0^r0 R J_m(pr) r dr,
-    the radial factor of the full 2D momentum wavefunction;
-  * RadialMomentumTable stores the amplitude with the angular factor
-    absorbed, H = sqrt(2 pi) phi, so that Int H^2 p dp = 1 exactly mirrors
-    the position normalization Int R^2 r dr = 1.
+    H(p) = Int_0^r0 R(r) J_m(pr) r dr,
+
+so that Int H^2 p dp = 1 mirrors the position normalization
+Int R^2 r dr = 1.  hankel_transform returns H and RadialMomentumTable
+stores it.
 
 The table supplies the quantities the measures still take in momentum
 space: the norm (the Parseval check), <p> and, for m >= 1, <p^-2>.
@@ -44,7 +45,7 @@ import numpy as np
 
 from .confined import ConfinedState
 from .free_atom import StateLabel
-from .specfun import bessel_j, gauss_legendre
+from .specfun import bessel_j, composite_gauss, gauss_legendre
 
 __all__ = [
     "AccuracyError",
@@ -58,6 +59,8 @@ P_MIN = 1e-3
 _R_ORDER = 12  # Gauss-Legendre order per Bessel-period panel
 _P_ORDER = 12  # Gauss-Legendre order per momentum panel
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
+_DOUBLING_TOLERANCE = 1e-6  # relative moment change accepted by panel doubling
+_MAX_DOUBLINGS = 3
 
 
 class AccuracyError(RuntimeError):
@@ -73,8 +76,8 @@ def _panel_count(r0: float, p: float) -> int:
     return count
 
 
-def _transform_batch(cs: ConfinedState, p: np.ndarray) -> np.ndarray:
-    """H(p) = Int R J_m(pr) r dr for an array of momenta.
+def hankel_transform(cs: ConfinedState, p) -> np.ndarray:
+    """H(p) = Int R J_m(pr) r dr for an array of momenta p >= 0.
 
     Momenta needing the same panel count share one r-grid, so the Bessel
     kernel is evaluated as a single matrix per group.
@@ -101,96 +104,59 @@ def _transform_batch(cs: ConfinedState, p: np.ndarray) -> np.ndarray:
     return value
 
 
-def hankel_transform(cs: ConfinedState, p):
-    """Radial momentum amplitude phi(p) = (2 pi)^(-1/2) Int R J_m(pr) r dr."""
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(p_arr < 0.0):
-        raise ValueError("momentum must be non-negative")
-    value = _transform_batch(cs, p_arr) / math.sqrt(2.0 * math.pi)
-    if np.ndim(p) == 0:
-        return float(value[0])
-    return value
-
-
-def _wall_b_coeff(m: int, r0: float, wall_slope: float, wall_curvature: float) -> float:
-    """Subleading wall amplitude in H ~ (2/pi p)^(1/2) [A cos(chi)/p^2 + B sin(chi)/p^3]."""
-    mu = 4.0 * m * m
-    return -wall_curvature * math.sqrt(r0) + wall_slope * (mu - 9.0) / (8.0 * math.sqrt(r0))
-
-
-def _tail_moment(
-    k: int,
-    p_max: float,
-    r0: float,
-    m: int,
-    wall_slope: float,
-    wall_curvature: float,
-    origin_coeff: float,
-) -> float:
-    """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {-2, 0, 1, 2}.
-
-    Sources: the leading wall term H ~ r0 R'(r0) J_m(p r0)/p^2 with J_m^2
-    averaged to 1/(pi x), its subleading correction one power down (built
-    from R''(r0)), for m = 0 the smooth origin term H ~ -R'(0)/p^3, and the
-    leading boundary term of the oscillatory wall-origin cross integral.
-    Remaining cross terms average out and are dropped.  The k = -2 moment
-    <p^-2> diverges at the origin for m = 0 and is rejected there.
-    """
-    if k not in (-2, 0, 1, 2):
-        raise ValueError(f"tail moments implemented for k in {{-2, 0, 1, 2}}, got {k}")
-    if k == -2 and m == 0:
-        raise ValueError("<p^-2> diverges for m = 0")
-    b = _wall_b_coeff(m, r0, wall_slope, wall_curvature)
-    a = wall_slope * math.sqrt(r0)
-    wall = r0 * wall_slope**2 / (math.pi * (3 - k) * p_max ** (3 - k))
-    wall_next = b**2 / (math.pi * (5 - k) * p_max ** (5 - k))
-    origin = origin_coeff**2 / ((4 - k) * p_max ** (4 - k))
-    chi = p_max * r0 - (2 * m + 1) * math.pi / 4.0
-    cross = (
-        -2.0
-        * a
-        * origin_coeff
-        * math.sqrt(2.0 / math.pi)
-        * math.sin(chi)
-        / (r0 * p_max ** (4.5 - k))
-    )
-    return wall + wall_next + origin + cross
-
-
 @dataclass(frozen=True)
 class RadialMomentumTable:
-    """Tabulated radial momentum amplitude (unit norm: Int phi^2 p dp = 1)."""
+    """Tabulated radial momentum amplitude H (unit norm: Int H^2 p dp = 1)."""
 
     state: StateLabel
     r0: float
     p_grid: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray  # H on p_grid
     p_weights: np.ndarray
     p_max: float
-    tail_mass: float
     wall_slope: float
     wall_curvature: float
     origin_coeff: float
 
-    def tail_moment(self, k: int) -> float:
-        """Estimated Int_{p_max}^inf phi^2 p^(k+1) dp for k in {-2, 0, 1, 2}."""
-        return _tail_moment(
-            k,
-            self.p_max,
-            self.r0,
-            self.state.l,
-            self.wall_slope,
-            self.wall_curvature,
-            self.origin_coeff,
-        )
+    @property
+    def tail_mass(self) -> float:
+        """Estimated norm beyond p_max."""
+        return self.tail_moment(0)
 
-    def quad_moment(self, k: int) -> float:
-        """In-grid part of Int phi^2 p^(k+1) dp."""
-        return float(np.sum(self.p_weights * self.phi**2 * self.p_grid ** (k + 1)))
+    def tail_moment(self, k: int) -> float:
+        """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {-2, 0, 1, 2}.
+
+        Sources: the leading wall term H ~ r0 R'(r0) J_m(p r0)/p^2 with J_m^2
+        averaged to 1/(pi x), its subleading correction one power down (built
+        from R''(r0)), for m = 0 the smooth origin term H ~ -R'(0)/p^3, and the
+        leading boundary term of the oscillatory wall-origin cross integral.
+        Remaining cross terms average out and are dropped.  The k = -2 moment
+        <p^-2> diverges at the origin for m = 0 and is rejected there.
+        """
+        m = self.state.l
+        if k not in (-2, 0, 1, 2):
+            raise ValueError(f"tail moments implemented for k in {{-2, 0, 1, 2}}, got {k}")
+        if k == -2 and m == 0:
+            raise ValueError("<p^-2> diverges for m = 0")
+        r0, p_max, slope, origin = self.r0, self.p_max, self.wall_slope, self.origin_coeff
+        # amplitudes in H ~ (2/pi p)^(1/2) [a cos(chi)/p^2 + b sin(chi)/p^3]
+        a = slope * math.sqrt(r0)
+        b = -self.wall_curvature * math.sqrt(r0) + slope * (4.0 * m * m - 9.0) / (
+            8.0 * math.sqrt(r0)
+        )
+        wall = r0 * slope**2 / (math.pi * (3 - k) * p_max ** (3 - k))
+        wall_next = b**2 / (math.pi * (5 - k) * p_max ** (5 - k))
+        tail_origin = origin**2 / ((4 - k) * p_max ** (4 - k))
+        chi = p_max * r0 - (2 * m + 1) * math.pi / 4.0
+        cross = -2.0 * a * origin * math.sqrt(2.0 / math.pi) * math.sin(chi) / (
+            r0 * p_max ** (4.5 - k)
+        )
+        return wall + wall_next + tail_origin + cross
 
     def moment(self, k: int) -> float:
-        """Int phi^2 p^(k+1) dp including the asymptotic tail."""
-        return self.quad_moment(k) + self.tail_moment(k)
+        """Int H^2 p^(k+1) dp: the in-grid quadrature plus the asymptotic tail."""
+        quad = float(np.sum(self.p_weights * self.phi**2 * self.p_grid ** (k + 1)))
+        return quad + self.tail_moment(k)
 
 
 def _p_edges(r0: float, lo: float, hi: float) -> np.ndarray:
@@ -200,26 +166,13 @@ def _p_edges(r0: float, lo: float, hi: float) -> np.ndarray:
     p = lo
     while p < hi:
         step = min(p * (_GEOM_RATIO - 1.0), cap)
-        p = min(p + step, hi)
+        # end at hi rather than leave a panel of rounding width before it
+        p = hi if p + step >= hi - 1e-9 * step else p + step
         edges.append(p)
     return np.asarray(edges)
 
 
-def _p_nodes(edges: np.ndarray, order: int = _P_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    rule = gauss_legendre(order)
-    a = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    p = (a[:, None] + half[:, None] * (rule.nodes[None, :] + 1.0)).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
-    return p, w
-
-
-def build_table(
-    cs: ConfinedState,
-    p_tail_tolerance: float = 1e-6,
-    doubling_tolerance: float = 1e-6,
-    max_doublings: int = 3,
-) -> RadialMomentumTable:
+def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMomentumTable:
     """Tabulate the momentum amplitude on an adaptive grid with verified moments.
 
     The grid is extended octave by octave (up to a 2^10/eta cap, raised by
@@ -227,7 +180,7 @@ def build_table(
     confinement) until the tail-corrected moments the measures read from the
     table are stable from one octave to the next and the estimated tail mass
     is below tolerance; the final grid is then verified by panel doubling.
-    Those moments are Int phi^2 p^(k+1) dp for k = 0 (the norm) and k = 1
+    Those moments are Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1
     (<p>), plus k = -2 (<p^-2>, the Fisher identity's angular term) when
     m >= 1.  The k = 2 moment stays available but does not drive p_max: the
     measures take <p^2> from position space.
@@ -243,68 +196,51 @@ def build_table(
     d_at = cs.radial(np.array([r0 - h, r0]))[1]
     curvature = float((d_at[1] - d_at[0]) / h)
     origin = -float(cs.radial(np.array([0.0]))[1][0]) if m == 0 else 0.0
-
-    p_cap = 2.0**10 / (eta * min(1.0, r0))
-    # starter panel [0, p_min] keeps the mass below p_min (phi(0) need not vanish)
-    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta)])
-    p, w = _p_nodes(edges)
-    phi = _transform_batch(cs, p)
     ks = (0, 1, -2) if m >= 1 else (0, 1)
 
-    def moments(pv, wv, phiv, p_max):
-        return np.array(
-            [
-                float(np.sum(wv * phiv**2 * pv ** (k + 1)))
-                + _tail_moment(k, p_max, r0, m, slope, curvature, origin)
-                for k in ks
-            ]
-        )
+    def tabulate(p, w, phi, p_max):
+        table = RadialMomentumTable(cs.state, r0, p, phi, w, p_max, slope, curvature, origin)
+        return table, np.array([table.moment(k) for k in ks])
+
+    p_cap = 2.0**10 / (eta * min(1.0, r0))
+    # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
+    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta)])
+    p, w = composite_gauss(edges, _P_ORDER)
+    phi = hankel_transform(cs, p)
 
     # first stability probe is free: truncate the initial grid near half range
-    half = int(np.searchsorted(edges, 0.5 * edges[-1], side="right")) - 1
-    half = max(half, 1)
+    half = max(int(np.searchsorted(edges, 0.5 * edges[-1], side="right")) - 1, 1)
     n_half = half * _P_ORDER
-    previous = moments(p[:n_half], w[:n_half], phi[:n_half], float(edges[half]))
+    _, previous = tabulate(p[:n_half], w[:n_half], phi[:n_half], float(edges[half]))
     while True:
-        p_max = float(edges[-1])
-        totals = moments(p, w, phi, p_max)
+        table, totals = tabulate(p, w, phi, float(edges[-1]))
         tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
         tol[0] = p_tail_tolerance
-        tail0 = _tail_moment(0, p_max, r0, m, slope, curvature, origin)
-        if (
-            previous is not None
-            and tail0 <= p_tail_tolerance
-            and np.all(np.abs(totals - previous) <= 0.5 * tol)
-        ):
+        drift = np.abs(totals - previous)
+        if table.tail_mass <= p_tail_tolerance and np.all(drift <= 0.5 * tol):
             break
-        if p_max >= p_cap:
-            drift = None if previous is None else np.abs(totals - previous)
+        if table.p_max >= p_cap:
             raise AccuracyError(
                 f"momentum tail tolerance unreachable for {cs.state.label} at r0={r0}: "
-                f"p_max={p_max:.4g} reached the cap {p_cap:.4g} with tail_mass="
-                f"{tail0:.3g} (target {p_tail_tolerance:.3g}) and moment drift {drift} "
-                f"against tolerances {0.5 * tol}"
+                f"p_max={table.p_max:.4g} reached the cap {p_cap:.4g} with tail_mass="
+                f"{table.tail_mass:.3g} (target {p_tail_tolerance:.3g}) and moment drift "
+                f"{drift} against tolerances {0.5 * tol}"
             )
         previous = totals
-        new_edges = _p_edges(r0, p_max, min(2.0 * p_max, p_cap))
-        p_new, w_new = _p_nodes(new_edges)
-        phi_new = _transform_batch(cs, p_new)
+        new_edges = _p_edges(r0, table.p_max, min(2.0 * table.p_max, p_cap))
+        p_new, w_new = composite_gauss(new_edges, _P_ORDER)
         edges = np.concatenate([edges, new_edges[1:]])
         p = np.concatenate([p, p_new])
         w = np.concatenate([w, w_new])
-        phi = np.concatenate([phi, phi_new])
+        phi = np.concatenate([phi, hankel_transform(cs, p_new)])
 
-    p_max = float(edges[-1])
-    current = moments(p, w, phi, p_max)
-    for _ in range(max_doublings):
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        edges_fine = np.sort(np.concatenate([edges, mid]))
-        p_f, w_f = _p_nodes(edges_fine)
-        phi_f = _transform_batch(cs, p_f)
-        refined = moments(p_f, w_f, phi_f, p_max)
-        change = np.abs(refined - current) / np.maximum(np.abs(refined), 1e-30)
-        edges, p, w, phi, current = edges_fine, p_f, w_f, phi_f, refined
-        if np.all(change < doubling_tolerance):
+    for _ in range(_MAX_DOUBLINGS):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+        p, w = composite_gauss(edges, _P_ORDER)
+        table, refined = tabulate(p, w, hankel_transform(cs, p), table.p_max)
+        change = np.abs(refined - totals) / np.maximum(np.abs(refined), 1e-30)
+        totals = refined
+        if np.all(change < _DOUBLING_TOLERANCE):
             break
     else:
         raise AccuracyError(
@@ -312,17 +248,6 @@ def build_table(
             f"at r0={r0}: last relative changes {change}"
         )
 
-    for arr in (p, phi, w):
+    for arr in (table.p_grid, table.phi, table.p_weights):
         arr.setflags(write=False)
-    return RadialMomentumTable(
-        state=cs.state,
-        r0=r0,
-        p_grid=p,
-        phi=phi,
-        p_weights=w,
-        p_max=p_max,
-        tail_mass=_tail_moment(0, p_max, r0, m, slope, curvature, origin),
-        wall_slope=slope,
-        wall_curvature=curvature,
-        origin_coeff=origin,
-    )
+    return table

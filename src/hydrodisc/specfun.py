@@ -22,7 +22,6 @@ __all__ = [
     "gauss_legendre",
     "composite_gauss",
     "semi_axis_rule",
-    "tangent_axis_rule",
     "gamma_fn",
     "assoc_laguerre",
     "orthonormal_laguerre",
@@ -97,23 +96,6 @@ def semi_axis_rule(
     t, wt = composite_gauss(t_edges, order)
     x = scale * t / (1.0 - t)
     w = wt * scale / (1.0 - t) ** 2
-    return x, w
-
-
-def tangent_axis_rule(
-    scale: float, order: int = 16, panels: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature for integrals over [0, inf) of algebraically decaying integrands.
-
-    Uses x = tan(u) / scale on u in [0, pi/2); the sec^2 Jacobian makes
-    integrands falling off like x^-4 or faster smooth at the far endpoint.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    u_edges = np.linspace(0.0, 0.5 * np.pi, panels + 1)
-    u, wu = composite_gauss(u_edges, order)
-    x = np.tan(u) / scale
-    w = wu / (np.cos(u) ** 2 * scale)
     return x, w
 
 

@@ -16,7 +16,7 @@ from hydrodisc.free_atom import (
     momentum_mean,
     table1_states,
 )
-from hydrodisc.specfun import semi_axis_rule, tangent_axis_rule
+from hydrodisc.specfun import composite_gauss, semi_axis_rule
 
 # exact fractions behind the tabulated values, worked out by hand from the
 # Laguerre moments (position) and Gegenbauer moments (momentum)
@@ -158,6 +158,26 @@ def test_position_wavefunctions_are_normalized():
         x, w = semi_axis_rule(st.eta**2 * 1.5)
         v, _ = free_radial_position_wf(st, x)
         assert abs(np.sum(w * v * v * x) - 1.0) < 1e-12
+
+
+def tangent_axis_rule(scale, order=16, panels=64):
+    """Quadrature for integrals over [0, inf) of algebraically decaying integrands.
+
+    Uses x = tan(u) / scale on u in [0, pi/2); the sec^2 Jacobian makes
+    integrands falling off like x^-4 or faster smooth at the far endpoint.
+    """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    u, wu = composite_gauss(np.linspace(0.0, 0.5 * np.pi, panels + 1), order)
+    return np.tan(u) / scale, wu / (np.cos(u) ** 2 * scale)
+
+
+def test_tangent_axis_rule_algebraic_decay():
+    """Int_0^inf dx / (1+x^2)^2 = pi/4."""
+    x, w = tangent_axis_rule(1.0)
+    assert abs(np.sum(w / (1.0 + x * x) ** 2) - math.pi / 4.0) < 1e-12
+    with pytest.raises(ValueError):
+        tangent_axis_rule(-1.0)
 
 
 def test_momentum_wavefunctions_are_normalized():

@@ -100,7 +100,7 @@ def test_fisher_uncertainty_check_ground_state():
         st = StateLabel(n, 0)
         pos = free_position_report(st)
         mom = free_momentum_report(st)
-        assert fisher_uncertainty_check(pos, mom, st)
+        assert fisher_uncertainty_check(pos, mom)
 
 
 def test_fisher_uncertainty_check_circular_exception():
@@ -108,7 +108,7 @@ def test_fisher_uncertainty_check_circular_exception():
     st = StateLabel(2, 1)
     pos = free_position_report(st)
     mom = free_momentum_report(st)
-    assert not fisher_uncertainty_check(pos, mom, st)
+    assert not fisher_uncertainty_check(pos, mom)
     assert abs(pos.fisher * mom.fisher - 10.67) < 0.01
 
 
@@ -116,7 +116,7 @@ def test_fisher_uncertainty_check_validates_spaces():
     st = StateLabel(1, 0)
     pos = free_position_report(st)
     with pytest.raises(ValueError):
-        fisher_uncertainty_check(pos, pos, st)
+        fisher_uncertainty_check(pos, pos)
 
 
 def test_norm_tolerance_constant():

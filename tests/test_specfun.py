@@ -15,7 +15,6 @@ from hydrodisc.specfun import (
     gegenbauer_orthonormal,
     orthonormal_laguerre,
     semi_axis_rule,
-    tangent_axis_rule,
 )
 
 
@@ -60,14 +59,6 @@ def test_semi_axis_rule_gamma_integrals():
         assert abs(np.sum(w * x**k * np.exp(-x)) - math.factorial(k)) < 1e-12
     with pytest.raises(ValueError):
         semi_axis_rule(0.0)
-
-
-def test_tangent_axis_rule_algebraic_decay():
-    """Int_0^inf dx / (1+x^2)^2 = pi/4."""
-    x, w = tangent_axis_rule(1.0)
-    assert abs(np.sum(w / (1.0 + x * x) ** 2) - math.pi / 4.0) < 1e-12
-    with pytest.raises(ValueError):
-        tangent_axis_rule(-1.0)
 
 
 def test_gamma_fn_values_and_domain():

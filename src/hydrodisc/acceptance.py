@@ -292,31 +292,37 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
     return (not problems, detail if not problems else "; ".join(problems[:4]))
 
 
-def _variance_crossings(st: StateLabel, r_values: np.ndarray) -> list[tuple[float, float]]:
-    ground = StateLabel(1, 0)
-    diff = [
-        _complete(evaluate(st, float(r0))).mom.variance
-        - _complete(evaluate(ground, float(r0))).mom.variance
-        for r0 in r_values
-    ]
-    signs = np.sign(diff)
-    flips = np.nonzero(signs[:-1] != signs[1:])[0]
-    return [(float(r_values[i]), float(r_values[i + 1])) for i in flips]
-
-
 def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
-    """Momentum-variance crossings with the ground state in the stated windows."""
+    """Momentum-variance crossings with the ground state in the stated windows.
+
+    The windows and the failure scan share radii, so each (state, r0) is
+    evaluated once, on first use, and its variance kept for this call.
+    """
+    ground = StateLabel(1, 0)
+    variances: dict[tuple[StateLabel, float], float] = {}
+
+    def variance(st: StateLabel, r0: float) -> float:
+        if (st, r0) not in variances:
+            variances[st, r0] = _complete(evaluate(st, r0)).mom.variance
+        return variances[st, r0]
+
+    def crossings(st: StateLabel, r_values: np.ndarray) -> list[tuple[float, float]]:
+        r = [float(r0) for r0 in r_values]
+        signs = np.sign([variance(st, r0) - variance(ground, r0) for r0 in r])
+        flips = np.nonzero(signs[:-1] != signs[1:])[0]
+        return [(r[i], r[i + 1]) for i in flips]
+
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
     problems = []
     found = []
     for label, (lo, hi) in windows.items():
         st = next(s for s in table1_states() if s.label == label)
-        brackets = _variance_crossings(st, np.linspace(lo, hi, 7))
+        brackets = crossings(st, np.linspace(lo, hi, 7))
         if len(brackets) == 1:
             found.append(f"(1s;{label}) in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]")
             continue
         # locate where the curves actually cross so the failure is informative
-        wide = _variance_crossings(st, np.arange(0.8, 3.61, 0.14))
+        wide = crossings(st, np.arange(0.8, 3.61, 0.14))
         where = ", ".join(f"[{a:.2f}, {b:.2f}]" for a, b in wide) or "nowhere in [0.8, 3.6]"
         problems.append(
             f"(1s;{label}) has {len(brackets)} crossings in [{lo}, {hi}]; "

@@ -105,17 +105,18 @@ def _resolve_config(args: argparse.Namespace) -> SweepConfig:
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    jobs = args.jobs if args.jobs and args.jobs > 0 else 1
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
     out_dir = cfg.output_path
     os.makedirs(out_dir, exist_ok=True)
-    rows = run_sweep(cfg, jobs=jobs)
+    rows = run_sweep(cfg, jobs=args.jobs)
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     emit_csv(rows, csv_path)
     echo_path = os.path.join(out_dir, "sweep_config.txt")
     with open(echo_path, "w", encoding="utf-8") as fh:
-        fh.write(config_echo(cfg, jobs))
+        fh.write(config_echo(cfg, args.jobs))
     written = [csv_path, echo_path]
     if cfg.emit_plot_data:
         plot_dir = os.path.join(out_dir, "plot_data")

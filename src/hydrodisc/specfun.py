@@ -172,55 +172,21 @@ def gegenbauer_orthonormal(k: int, alpha: float, y) -> PolynomialEval:
     return PolynomialEval(value=value, derivative=deriv)
 
 
-_ASYM_Z = 60.0
-
-
-def _bessel_asymptotic(m: int, z: np.ndarray) -> np.ndarray:
-    """J_m via the Hankel large-argument expansion, three P/Q terms.
-
-    For z >= 60 and m <= 3 the truncation error is below ~1e-11, while the
-    evaluation runs an order of magnitude faster than the general routine
-    (one cos/sin pair and short polynomials in 1/z).
-    """
-    inv = 1.0 / z
-    amp = np.sqrt((2.0 / np.pi) * inv)
-    theta = z - 0.25 * np.pi
-    c0 = np.cos(theta)
-    s0 = np.sin(theta)
-    # chi_m = theta - m pi/2, so (cos, sin)(chi_m) is a quarter-turn table
-    cm, sm = ((c0, s0), (s0, -c0), (-c0, -s0), (-s0, c0))[m % 4]
-    x = 0.125 * inv
-    x2 = x * x
-    mu = 4.0 * m * m
-    a1 = mu - 1.0
-    a2 = a1 * (mu - 9.0)
-    a3 = a2 * (mu - 25.0)
-    a4 = a3 * (mu - 49.0)
-    a5 = a4 * (mu - 81.0)
-    p = 1.0 + x2 * (-a2 / 2.0 + x2 * (a4 / 24.0))
-    q = x * (a1 + x2 * (-a3 / 6.0 + x2 * (a5 / 120.0)))
-    return amp * (p * cm - q * sm)
-
-
 def bessel_j(m: int, z):
     """Bessel function of the first kind J_m for integer order m >= 0.
 
-    Vectorized for bulk kernels: arguments z >= 60 switch to the Hankel
-    asymptotic form for speed (orders m <= 3 only).
+    Vectorized for bulk kernels, one scipy routine per order:
+    scipy.special.j0 for m = 0, j1 for m = 1 and jv for m >= 2.
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("bessel_j requires z >= 0")
-    big = (z >= _ASYM_Z) if m <= 3 else np.zeros(z.shape, dtype=bool)
-    if np.all(big):
-        out = _bessel_asymptotic(m, z)
-    elif not np.any(big):
-        out = _sp.jv(m, z)
+    if m == 0:
+        out = _sp.j0(z)
+    elif m == 1:
+        out = _sp.j1(z)
     else:
-        out = np.empty_like(z)
-        small = ~big
-        out[big] = _bessel_asymptotic(m, z[big])
-        out[small] = _sp.jv(m, z[small])
+        out = _sp.jv(m, z)
     return float(out) if out.ndim == 0 else out

@@ -85,12 +85,17 @@ def test_energy_inversion_stays_near_ground_truth():
 
 
 def test_default_grid_tables_are_built_once(battery):
-    """Every default-grid point is evaluated once, criterion 3's r0 = 40 included."""
+    """Every point the battery evaluates is built once, on the default grid or off it.
+
+    Criterion 3 reads its r0 = 40 points from the grid, and criterion 9's
+    windows and failure scan share radii (1s at 1.5 and 2.2, 3d at 1.5 and 2.2).
+    """
     _, builds = battery
     cfg = sweep.SweepConfig()
     grid = [(StateLabel(n, m), float(r0)) for n, m in cfg.states for r0 in sweep.radii(cfg)]
     assert len(grid) == 160
-    assert {key: builds[key] for key in grid} == {key: 1 for key in grid}
+    assert set(grid) <= set(builds)
+    assert {key: n for key, n in builds.items() if n != 1} == {}
 
 
 def test_attained_crossing_windows_hold(results):

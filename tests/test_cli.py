@@ -70,6 +70,14 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert "points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    code = main(["sweep", "--jobs", jobs, "--out", str(tmp_path / "run")])
+    assert code == EXIT_USAGE
+    assert "usage error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_state_string_is_usage_error(capsys):
     assert main(["sweep", "--states", "5"]) == EXIT_USAGE
     assert "bad state" in capsys.readouterr().err

@@ -160,23 +160,33 @@ def test_bessel_j_recurrence():
         assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-13)
 
 
-def test_bessel_j_asymptotic_branch_accuracy():
-    """The large-argument fast path stays within 2e-10 of the reference."""
-    from scipy.special import jv
+def _mpmath_j(m, z):
+    import mpmath
 
+    return np.array([float(mpmath.besselj(m, x)) for x in z])
+
+
+def test_bessel_j_against_mpmath():
+    """J_m matches mpmath to 1e-13 for z in [1e-6, 60]; a scalar argument returns a float."""
+    z = np.geomspace(1e-6, 60.0, 200)
+    for m in (0, 1, 2, 3, 5):
+        assert_allclose(bessel_j(m, z), _mpmath_j(m, z), rtol=0, atol=1e-13)
+        assert type(bessel_j(m, 60.0)) is float
+
+
+def test_bessel_j_asymptotic_branch_accuracy():
+    """Large arguments, z in [60, 1e4], stay within 1e-13 of mpmath."""
     z = np.geomspace(60.0, 1e4, 400)
-    for m in range(4):
-        assert np.max(np.abs(bessel_j(m, z) - jv(m, z))) < 2e-10
+    for m in (0, 1, 2, 3, 5):
+        assert_allclose(bessel_j(m, z), _mpmath_j(m, z), rtol=0, atol=1e-13)
 
 
 def test_bessel_j_spans_the_branch_switch():
-    """Mixed small and large arguments agree with scipy across the seam."""
-    from scipy.special import jv
-
+    """A dense sample of z in [55, 65], and a scalar at 70, agree with mpmath to 1e-13."""
     z = np.linspace(55.0, 65.0, 101)
-    for m in range(4):
-        assert_allclose(bessel_j(m, z), jv(m, z), rtol=0, atol=2e-10)
-    assert bessel_j(2, 70.0) == pytest.approx(jv(2, 70.0), abs=2e-10)
+    for m in (0, 1, 2, 3, 5):
+        assert_allclose(bessel_j(m, z), _mpmath_j(m, z), rtol=0, atol=1e-13)
+    assert bessel_j(2, 70.0) == pytest.approx(_mpmath_j(2, [70.0])[0], abs=1e-13)
 
 
 def test_bessel_j_at_zero():

@@ -7,7 +7,7 @@ the wall radius shrinks.
 """
 
 from .confined import ConfinedState, ConvergenceError, RadialGrid, coulomb_expectation, solve
-from .fd_eigensolver import oracle_energy, wall_levels
+from .fd_eigensolver import oracle_energy
 from .free_atom import (
     FreeMeasures,
     StateLabel,
@@ -71,5 +71,4 @@ __all__ = [
     "table1",
     "table1_states",
     "table1_text",
-    "wall_levels",
 ]

@@ -139,7 +139,7 @@ def criterion_3(grid: list[PointEvaluation]) -> tuple[bool, str]:
 
 
 def criterion_4(grid: list[PointEvaluation]) -> tuple[bool, str]:
-    """Variational energies upper-bound the grid oracle on the default grid."""
+    """Variational energies upper-bound the exact wall levels on the default grid (1e-9 slack)."""
     worst = math.inf
     problems = []
     for p in grid:
@@ -148,7 +148,7 @@ def criterion_4(grid: list[PointEvaluation]) -> tuple[bool, str]:
         worst = min(worst, margin)
         if margin < -1e-9:
             problems.append(f"{p.state.label} r0={p.r0:.3f} margin {margin:.2e}")
-    detail = f"{len(grid)} points vs 4096-cell oracle, worst margin {worst:+.2e}"
+    detail = f"{len(grid)} points vs exact wall level, worst margin {worst:+.2e}"
     return (not problems, detail if not problems else "; ".join(problems))
 
 

@@ -62,7 +62,7 @@ def test_energy_monotone_in_wall_radius():
 
 
 def test_variational_bound_against_grid_oracle(solved_r2):
-    """E_var >= E_exact within the oracle's extrapolation floor."""
+    """E_var >= E_exact, with 1e-9 slack for rounding in the energy quadrature."""
     for st in STATES:
         margin = solved_r2[st.label].energy - oracle_energy(st, 2.0)
         assert margin > -1e-9

@@ -24,7 +24,10 @@ powers of two so momenta can share evaluation grids), and each group of
 momenta costs one kernel matrix J_m(p r) and one matrix-vector product.
 The p-grid is geometric from p_min = 1e-3 until the step reaches 8/r0,
 then arithmetic, extended adaptively until the tail criteria on the
-tabulated moments hold and verified by doubling.
+tabulated moments hold.  The moments of the final 12-point Gauss panels
+are then checked against their 25-point Gauss-Kronrod extension, which
+transforms only the 13 added nodes per panel; the table stores the
+Kronrod values, so every momentum is transformed once.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
@@ -45,7 +48,7 @@ import numpy as np
 
 from .confined import ConfinedState
 from .free_atom import StateLabel
-from .specfun import bessel_j, composite_gauss, gauss_legendre
+from .specfun import bessel_j, composite_gauss, composite_rule, gauss_kronrod, gauss_legendre
 
 __all__ = [
     "AccuracyError",
@@ -57,10 +60,10 @@ __all__ = [
 
 P_MIN = 1e-3
 _R_ORDER = 12  # Gauss-Legendre order per Bessel-period panel
-_P_ORDER = 12  # Gauss-Legendre order per momentum panel
+_P_ORDER = 12  # Gauss-Legendre order per momentum panel (Kronrod-extended to 25)
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
-_DOUBLING_TOLERANCE = 1e-6  # relative moment change accepted by panel doubling
-_MAX_DOUBLINGS = 3
+_DOUBLING_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
+_MAX_DOUBLINGS = 3  # panel bisections allowed when the Kronrod check fails
 
 
 class AccuracyError(RuntimeError):
@@ -175,15 +178,23 @@ def _p_edges(r0: float, lo: float, hi: float) -> np.ndarray:
 def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMomentumTable:
     """Tabulate the momentum amplitude on an adaptive grid with verified moments.
 
-    The grid is extended octave by octave (up to a 2^10/eta cap, raised by
-    1/r0 inside sub-unit walls where the momentum content scales with the
-    confinement) until the tail-corrected moments the measures read from the
-    table are stable from one octave to the next and the estimated tail mass
-    is below tolerance; the final grid is then verified by panel doubling.
-    Those moments are Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1
-    (<p>), plus k = -2 (<p^-2>, the Fisher identity's angular term) when
-    m >= 1.  The k = 2 moment stays available but does not drive p_max: the
-    measures take <p^2> from position space.
+    The grid of 12-point Gauss panels is extended octave by octave (up to a
+    2^10/eta cap, raised by 1/r0 inside sub-unit walls where the momentum
+    content scales with the confinement) until the tail-corrected moments
+    the measures read from the table are stable from one octave to the next
+    and the estimated tail mass is below tolerance.  Those moments are
+    Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>), plus k = -2
+    (<p^-2>, the Fisher identity's angular term) when m >= 1.  The k = 2
+    moment stays available but does not drive p_max: the measures take
+    <p^2> from position space.
+
+    The final panels are then verified by their Gauss-Kronrod extension:
+    the 13 Kronrod nodes per panel are transformed, the 12 Gauss values are
+    reused, and the Gauss moments must agree with the 25-point Kronrod
+    moments to _DOUBLING_TOLERANCE.  As in QUADPACK the difference is the
+    error estimate of the Gauss rule and the table stores the more accurate
+    Kronrod values.  A failed check bisects the panels and repeats, up to
+    _MAX_DOUBLINGS times, before raising AccuracyError.
     """
     if not (0.0 < p_tail_tolerance <= 1e-3):
         raise ValueError(f"p_tail_tolerance out of range (0, 1e-3]: {p_tail_tolerance}")
@@ -234,18 +245,30 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
         w = np.concatenate([w, w_new])
         phi = np.concatenate([phi, hankel_transform(cs, p_new)])
 
-    for _ in range(_MAX_DOUBLINGS):
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        p, w = composite_gauss(edges, _P_ORDER)
-        table, refined = tabulate(p, w, hankel_transform(cs, p), table.p_max)
+    p_max = table.p_max
+    kronrod = gauss_kronrod(_P_ORDER)
+    for bisection in range(_MAX_DOUBLINGS + 1):
+        if bisection:
+            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+            p, w = composite_gauss(edges, _P_ORDER)
+            phi = hankel_transform(cs, p)
+            _, totals = tabulate(p, w, phi, p_max)
+        panels = edges.size - 1
+        pk, wk = composite_rule(edges, kronrod)
+        pk = pk.reshape(panels, kronrod.order)
+        phik = np.empty_like(pk)
+        # the Kronrod rule's odd nodes are the Gauss nodes, bit for bit
+        phik[:, 1::2] = phi.reshape(panels, _P_ORDER)
+        phik[:, 0::2] = hankel_transform(cs, pk[:, 0::2].ravel()).reshape(panels, -1)
+        table, refined = tabulate(pk.ravel(), wk, phik.ravel(), p_max)
         change = np.abs(refined - totals) / np.maximum(np.abs(refined), 1e-30)
-        totals = refined
         if np.all(change < _DOUBLING_TOLERANCE):
             break
     else:
         raise AccuracyError(
-            f"momentum grid would not converge under doubling for {cs.state.label} "
-            f"at r0={r0}: last relative changes {change}"
+            f"momentum grid failed the Gauss-Kronrod check for {cs.state.label} at "
+            f"r0={r0} after {_MAX_DOUBLINGS} panel bisections: last relative "
+            f"Gauss-Kronrod differences {change}"
         )
 
     for arr in (table.p_grid, table.phi, table.p_weights):

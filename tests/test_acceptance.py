@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hydrodisc import acceptance, sweep
+from hydrodisc import acceptance, momentum, sweep
 from hydrodisc.confined import solve
 from hydrodisc.free_atom import StateLabel
 
@@ -28,18 +28,32 @@ UNATTAINABLE = {
 
 @pytest.fixture(scope="module")
 def battery():
-    """One run of every criterion, with the tables built per (state, r0)."""
+    """One run of every criterion, with the tables built per (state, r0).
+
+    Also returns, per (state, r0), the momenta transformed and the size of
+    the table built from them.
+    """
     builds = collections.Counter()
+    transformed = collections.Counter()
+    sizes = {}
     build_table = sweep.build_table
+    hankel_transform = momentum.hankel_transform
 
     def counting_build_table(cs, *args, **kwargs):
         builds[(cs.state, cs.r0)] += 1
-        return build_table(cs, *args, **kwargs)
+        table = build_table(cs, *args, **kwargs)
+        sizes[(cs.state, cs.r0)] = table.p_grid.size
+        return table
+
+    def counting_hankel_transform(cs, p):
+        transformed[(cs.state, cs.r0)] += np.size(p)
+        return hankel_transform(cs, p)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "build_table", counting_build_table)
+        mp.setattr(momentum, "hankel_transform", counting_hankel_transform)
         triples = acceptance.run_all(verbose=False)
-    return {name: (ok, line) for name, ok, line in triples}, builds
+    return {name: (ok, line) for name, ok, line in triples}, builds, (transformed, sizes)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +104,19 @@ def test_default_grid_tables_are_built_once(battery):
     Criterion 3 reads its r0 = 40 points from the grid, and criterion 9's
     windows and failure scan share radii (1s at 1.5 and 2.2, 3d at 1.5 and 2.2).
     """
-    _, builds = battery
+    _, builds, _ = battery
     cfg = sweep.SweepConfig()
     grid = [(StateLabel(n, m), float(r0)) for n, m in cfg.states for r0 in sweep.radii(cfg)]
     assert len(grid) == 160
     assert set(grid) <= set(builds)
     assert {key: n for key, n in builds.items() if n != 1} == {}
+
+
+def test_every_table_transforms_each_momentum_once(battery):
+    """The Gauss-Kronrod check reuses the Gauss values at every point the battery builds."""
+    _, builds, (transformed, sizes) = battery
+    assert len(sizes) == len(builds) >= 160
+    assert {key: n for key, n in transformed.items() if n != sizes[key]} == {}
 
 
 def test_attained_crossing_windows_hold(results):

@@ -140,8 +140,76 @@ def test_tail_moment_decreases_with_cutoff(tables_r2):
         assert t2 < t1
 
 
+def _count_transformed(monkeypatch):
+    """Wrap hankel_transform; the returned list collects the momenta it is given."""
+    seen = []
+    transform = momentum.hankel_transform
+
+    def counting(cs, p):
+        seen.append(np.size(p))
+        return transform(cs, p)
+
+    monkeypatch.setattr(momentum, "hankel_transform", counting)
+    return seen
+
+
+def test_each_momentum_transformed_once(tables_r2, monkeypatch):
+    """The Kronrod check reuses the Gauss values: one transform per stored momentum."""
+    states = [cs for cs, _ in tables_r2.values()]
+    states += [solve(next(s for s in STATES if s.label == label), 16.0) for label in ("1s", "3d")]
+    seen = _count_transformed(monkeypatch)
+    for cs in states:
+        seen.clear()
+        tab = build_table(cs)
+        assert sum(seen) == tab.p_grid.size
+        assert tab.p_grid.size % 25 == 0
+
+
+def test_kronrod_check_failure_raises(tables_r2, monkeypatch):
+    """A check nothing passes bisects the panels _MAX_DOUBLINGS times, then raises."""
+    cs, tab = tables_r2["1s"]
+    panels = tab.p_grid.size // 25
+    monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 0.0)
+    seen = _count_transformed(monkeypatch)
+    with pytest.raises(AccuracyError, match="Gauss-Kronrod"):
+        build_table(cs)
+    # 12 Gauss plus 13 Kronrod momenta per panel, on the grid and on each bisection of it
+    assert sum(seen) == 25 * panels * sum(2**k for k in range(momentum._MAX_DOUBLINGS + 1))
+
+
+@pytest.mark.parametrize("r0", [2.0, 8.0])
+def test_order_two_transform_against_mpmath(r0):
+    """3d amplitudes match 30-digit mpmath quadrature with mpmath's own J_2.
+
+    The trial R = N e^(-alpha r) r^2 (1 + Sum c_j r^j)(1 - r/r0) is rebuilt in
+    mpmath from the solved parameters, and the r-integral is split at every
+    period 2 pi/p, so neither bessel_j nor the r-panels of hankel_transform
+    enter the reference.
+    """
+    import mpmath
+
+    cs = solve(next(s for s in STATES if s.label == "3d"), r0)
+    tab = build_table(cs)
+    ps = tab.p_max * np.array([0.01, 0.1, 0.3, 0.6, 1.0])
+    got = hankel_transform(cs, ps)
+
+    def radial(r):
+        poly = 1 + sum(c * r**j for j, c in enumerate(cs.node_coeffs, start=1))
+        return cs.norm_constant * mpmath.exp(-cs.alpha * r) * r**2 * poly * (1 - r / r0)
+
+    with mpmath.workdps(30):
+        for p, h in zip(ps, got):
+            p_mp = mpmath.mpf(p)
+            period = 2 * mpmath.pi / p_mp
+            splits = [k * period for k in range(int(r0 / period) + 1)] + [mpmath.mpf(r0)]
+            ref = mpmath.quad(
+                lambda r: radial(r) * mpmath.besselj(2, p_mp * r) * r, splits, method="gauss-legendre"
+            )
+            assert abs(h - float(ref)) < 1e-12 * np.max(np.abs(tab.phi))
+
+
 def test_doubling_tolerance_consistency(tables_r2, monkeypatch):
-    """A stricter panel-doubling pass leaves the moments unchanged."""
+    """A stricter Gauss-Kronrod check leaves the moments unchanged."""
     cs, tab = tables_r2["2p"]
     monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 1e-8)
     tab2 = build_table(cs)

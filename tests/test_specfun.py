@@ -10,7 +10,9 @@ from hydrodisc.specfun import (
     assoc_laguerre,
     bessel_j,
     composite_gauss,
+    composite_rule,
     gamma_fn,
+    gauss_kronrod,
     gauss_legendre,
     gegenbauer_orthonormal,
     orthonormal_laguerre,
@@ -50,6 +52,46 @@ def test_composite_gauss_validates_edges():
         composite_gauss(np.array([0.0, 1.0, 0.5]), 8)
     with pytest.raises(ValueError):
         composite_gauss(np.array([1.0]), 8)
+
+
+def test_composite_rule_validates_edges():
+    rule = gauss_kronrod(4)
+    with pytest.raises(ValueError):
+        composite_rule(np.array([0.0, 1.0, 0.5]), rule)
+    with pytest.raises(ValueError):
+        composite_rule(np.array([1.0]), rule)
+
+
+def test_gauss_kronrod_structure():
+    """25 increasing nodes in (-1, 1), positive weights, the Gauss nodes bit for bit."""
+    rule = gauss_kronrod(12)
+    assert rule.order == 25 and rule.nodes.size == 25 and rule.weights.size == 25
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
+    assert np.all(rule.weights > 0)
+    assert np.all(rule.nodes[1::2] == gauss_legendre(12).nodes)
+    with pytest.raises(ValueError):
+        gauss_kronrod(0)
+
+
+def test_gauss_kronrod_polynomial_exactness():
+    """The 25-point extension of the 12-point rule is exact through degree 37, not 38."""
+    rule = gauss_kronrod(12)
+    for deg in range(38):
+        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert abs(np.sum(rule.weights * rule.nodes**deg) - exact) < 1e-14
+    assert abs(np.sum(rule.weights * rule.nodes**38) - 2.0 / 39) > 1e-14
+
+
+def test_composite_rule_reuses_gauss_nodes():
+    """Composite Kronrod panels hold the composite Gauss nodes at their odd places."""
+    edges = np.array([0.0, 1e-3, 0.37, 2.0, 9.5])
+    xg, _ = composite_gauss(edges, 12)
+    xk, wk = composite_rule(edges, gauss_kronrod(12))
+    assert np.all(xk.reshape(4, 25)[:, 1::2].ravel() == xg)
+    # Int_0^b e^-t cos 3t dt = (1 + e^-b (3 sin 3b - cos 3b)) / 10
+    exact = (1.0 + math.exp(-9.5) * (3.0 * math.sin(28.5) - math.cos(28.5))) / 10.0
+    assert abs(np.sum(wk * np.cos(3.0 * xk) * np.exp(-xk)) - exact) < 1e-14
 
 
 def test_semi_axis_rule_gamma_integrals():

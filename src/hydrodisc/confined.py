@@ -30,8 +30,12 @@ state, so the free limit is reached exactly.
 
 E(alpha) is the Rayleigh quotient of the radial Hamiltonian
 (-1/2)(1/r)(d/dr)(r d/dr) + m^2/(2r^2) - 1/r evaluated by Gauss-Legendre
-quadrature in weak form (no second derivatives), minimized by bounded
-Brent search with automatic bracket growth.
+quadrature in weak form (no second derivatives).  Every real alpha gives a
+trial that vanishes at the wall, so every alpha gives an upper bound, and
+in tight walls the optimum of some states (2p, 2s) has alpha < 0, an
+envelope growing toward the wall.  E(alpha) is sampled over one signed
+range and every interior local minimum of the samples is polished by
+bounded Brent search.
 """
 
 from __future__ import annotations
@@ -59,13 +63,13 @@ __all__ = [
 ]
 
 MIN_WALL_RADIUS = 0.05
-_ALPHA_FLOOR = 1e-6
 _ALPHA_XATOL = 1e-10  # absolute alpha tolerance of the bounded Brent search
-_MAX_EXPANSIONS = 24  # bracket growths before the search gives up
+_SCAN_POINTS = 25  # samples of E(alpha) over the scan range
+_SCAN_REACH = 8.0  # the scan covers alpha in [-reach/r0, reach/min(r0, eta)]
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the variational bracket or minimizer fails to settle."""
+    """Raised when the variational minimizer fails to settle."""
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,8 @@ def _ritz_powers(n_r: int) -> tuple[int, ...]:
 
 def node_coefficients(
     state: StateLabel, r0: float, alpha: float, grid: RadialGrid
-) -> tuple[float, ...]:
-    """Polynomial coefficients of the trial at fixed alpha.
+) -> tuple[float, tuple[float, ...]]:
+    """Ritz energy and polynomial coefficients of the trial at fixed alpha.
 
     Rayleigh-Ritz in the span of the bare trial and its monomial companions
     r^j * R_bare: the generalized eigenproblem is solved with the weak-form
@@ -147,43 +151,33 @@ def node_coefficients(
     property that orthogonalizing against an approximate lower state would
     forfeit.  For nodeless states the companion is a single curvature term
     c_2 r^2; without it the linear cutoff tilts the density of spatially
-    extended states (3d most of all) even at weak confinement.
+    extended states (3d most of all) even at weak confinement.  The energy
+    is that eigenvalue: the Rayleigh quotient of the returned trial on the
+    same quadrature, which energy_functional evaluates independently.
     """
     r, w = grid.nodes, grid.weights
     powers = _ritz_powers(state.n_r)
     v0, d0 = trial_radial_wf(state, r0, alpha, r, (0.0,) * state.n_r)
-    values = []
-    derivs = []
-    for j in powers:
-        if j == 0:
-            values.append(v0)
-            derivs.append(d0)
-        else:
-            values.append(v0 * r**j)
-            derivs.append(d0 * r**j + v0 * j * r ** (j - 1))
-    scale = [1.0 / math.sqrt(np.sum(w * v * v * r)) for v in values]
-    ell_sq = float(state.l * state.l)
-    dim = len(powers)
-    s_mat = np.empty((dim, dim))
-    h_mat = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            vi, vj = values[i] * scale[i], values[j] * scale[j]
-            di, dj = derivs[i] * scale[i], derivs[j] * scale[j]
-            s_mat[i, j] = s_mat[j, i] = np.sum(w * vi * vj * r)
-            cross = np.sum(w * vi * vj * (0.5 * ell_sq / r - 1.0))
-            h_mat[i, j] = h_mat[j, i] = 0.5 * np.sum(w * di * dj * r) + cross
-    _, vecs = eigh(h_mat, s_mat)
+    j = np.array(powers, dtype=float)[:, None]
+    values = v0 * r**j
+    derivs = d0 * r**j + v0 * j * r ** (j - 1)
+    scale = 1.0 / np.sqrt((values * values) @ (w * r))
+    values *= scale[:, None]
+    derivs *= scale[:, None]
+    s_mat = (values * (w * r)) @ values.T
+    potential = w * (0.5 * state.l**2 / r - 1.0)
+    h_mat = 0.5 * (derivs * (w * r)) @ derivs.T + (values * potential) @ values.T
+    vals, vecs = eigh(h_mat, s_mat)
     u = vecs[:, state.n_r]
     if abs(u[0]) < 1e-12 * np.linalg.norm(u):
         raise ConvergenceError(
             f"companion terms dominate the {state.label} trial at r0={r0}"
         )
     coeffs = [0.0] * max(powers)
-    for idx in range(1, dim):
+    for idx in range(1, len(powers)):
         c = (u[idx] * scale[idx]) / (u[0] * scale[0])
         coeffs[powers[idx] - 1] = float(c)
-    return tuple(coeffs)
+    return float(vals[state.n_r]), tuple(coeffs)
 
 
 def energy_functional(
@@ -194,8 +188,6 @@ def energy_functional(
     node_coeffs: tuple[float, ...] = (),
 ) -> float:
     """Rayleigh quotient E(alpha) of the trial state inside the wall."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     if grid is None:
         grid = RadialGrid.for_wall(r0)
     r, w = grid.nodes, grid.weights
@@ -237,54 +229,46 @@ class ConfinedState:
 def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
     """Minimize E(alpha) for one state and wall radius.
 
-    The outer search is one-dimensional in alpha; at each alpha the node
-    and curvature coefficients come from the Ritz solve, and states with
-    radial nodes ride the matching higher eigenvalue.
+    At each alpha one Ritz solve gives the energy and the node and
+    curvature coefficients.  E(alpha) is sampled at _SCAN_POINTS evenly
+    spaced alpha in [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], and every
+    interior local minimum of the samples is polished by bounded Brent
+    search over its two neighbouring cells, because E(alpha) can have two
+    basins (2s in tight walls); the lowest polish wins.  ConvergenceError
+    is raised when the lowest sample sits on the scan edge.
     """
     if r0 < MIN_WALL_RADIUS:
         raise ValueError(f"wall radius below supported minimum {MIN_WALL_RADIUS}: {r0}")
     grid = RadialGrid.for_wall(r0, order)
 
-    def coeffs_at(alpha: float) -> tuple[float, ...]:
-        return node_coefficients(state, r0, alpha, grid)
-
     def energy_at(alpha: float) -> float:
-        return energy_functional(state, r0, alpha, grid, coeffs_at(alpha))
+        return node_coefficients(state, r0, alpha, grid)[0]
 
-    eta = state.eta
-    lo, hi = 0.2 / eta, 5.0 / eta
-    hi_cap = 600.0 / r0
-    best = None
-    for _ in range(_MAX_EXPANSIONS):
-        res = minimize_scalar(
-            energy_at, bounds=(lo, hi), method="bounded", options={"xatol": _ALPHA_XATOL}
-        )
-        if not res.success:
-            raise ConvergenceError(
-                f"bounded minimization failed for {state.label} at r0={r0}: {res.message}"
-            )
-        best = res
-        span = hi - lo
-        at_lo = res.x - lo < 0.02 * span
-        at_hi = hi - res.x < 0.02 * span
-        if at_lo and lo > _ALPHA_FLOOR:
-            lo = max(0.5 * lo, _ALPHA_FLOOR)
-        elif at_hi and hi < hi_cap:
-            hi = min(2.0 * hi, hi_cap)
-        elif at_hi:
-            raise ConvergenceError(
-                f"optimal alpha pinned at cap {hi_cap} for {state.label} at r0={r0}"
-            )
-        else:
-            break
-    else:
+    alphas = np.linspace(-_SCAN_REACH / r0, _SCAN_REACH / min(r0, state.eta), _SCAN_POINTS)
+    energies = [energy_at(a) for a in alphas]
+    low = int(np.argmin(energies))
+    if low in (0, _SCAN_POINTS - 1):
         raise ConvergenceError(
-            f"variational bracket would not settle for {state.label} at r0={r0}: "
-            f"last bracket [{lo}, {hi}], alpha={best.x}"
+            f"optimal alpha at the scan edge {alphas[low]:.6g} for {state.label} at r0={r0}"
         )
+    best = None
+    for i in range(1, _SCAN_POINTS - 1):
+        if energies[i] <= min(energies[i - 1], energies[i + 1]):
+            res = minimize_scalar(
+                energy_at,
+                bounds=(alphas[i - 1], alphas[i + 1]),
+                method="bounded",
+                options={"xatol": _ALPHA_XATOL},
+            )
+            if not res.success:
+                raise ConvergenceError(
+                    f"bounded minimization failed for {state.label} at r0={r0}: {res.message}"
+                )
+            if best is None or res.fun < best.fun:
+                best = res
 
     alpha = float(best.x)
-    coeffs = coeffs_at(alpha)
+    energy, coeffs = node_coefficients(state, r0, alpha, grid)
     f, _ = trial_radial_wf(state, r0, alpha, grid.nodes, coeffs)
     norm_sq = float(np.sum(grid.weights * f * f * grid.nodes))
     if not norm_sq > 0.0:
@@ -293,7 +277,7 @@ def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
         state=state,
         r0=r0,
         alpha=alpha,
-        energy=float(best.fun),
+        energy=energy,
         norm_constant=1.0 / math.sqrt(norm_sq),
         quadrature_order=order,
         node_coeffs=coeffs,

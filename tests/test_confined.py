@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 
+from hydrodisc import confined
 from hydrodisc.confined import (
     MIN_WALL_RADIUS,
     ConvergenceError,
     RadialGrid,
     energy_functional,
+    node_coefficients,
     solve,
     trial_radial_wf,
 )
@@ -155,6 +160,74 @@ def test_validation_errors():
         solve(StateLabel(1, 0), 0.5 * MIN_WALL_RADIUS)
     with pytest.raises(ValueError):
         trial_radial_wf(StateLabel(2, 0), 2.0, 1.0, np.array([1.0]))  # needs a node
-    with pytest.raises(ValueError):
-        energy_functional(StateLabel(1, 0), 2.0, -0.5)
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_negative_alpha_is_an_upper_bound():
+    """An envelope growing toward the wall is still a valid trial."""
+    st, r0, alpha = StateLabel(2, 1), 0.5, -0.6
+    grid = RadialGrid.for_wall(r0)
+    _, coeffs = node_coefficients(st, r0, alpha, grid)
+    energy = energy_functional(st, r0, alpha, grid, coeffs)
+    assert math.isfinite(energy)
+    assert energy >= oracle_energy(st, r0) - 1e-9
+
+
+def _dense_scan_minimum(st, r0):
+    """Lowest E(alpha) of the trial family, found independently of solve.
+
+    A 161-sample signed scan over a wider range than solve's, with the
+    energy from energy_functional, and every local minimum polished.
+    """
+    grid = RadialGrid.for_wall(r0)
+
+    def energy_at(alpha):
+        _, coeffs = node_coefficients(st, r0, alpha, grid)
+        return energy_functional(st, r0, alpha, grid, coeffs)
+
+    alphas = np.linspace(-12.0 / r0, 24.0 / min(r0, st.eta), 161)
+    energies = [energy_at(a) for a in alphas]
+    best = min(energies)
+    for i in range(1, len(alphas) - 1):
+        if energies[i] <= min(energies[i - 1], energies[i + 1]):
+            res = minimize_scalar(
+                energy_at, bounds=(alphas[i - 1], alphas[i + 1]), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            best = min(best, res.fun)
+    return best
+
+
+@pytest.mark.parametrize(
+    "n, m, r0",
+    [(2, 1, 0.5), (2, 1, 0.98), (2, 0, 2.15), (2, 0, 2.41), (3, 2, 0.5), (3, 2, 5.29)],
+)
+def test_solve_finds_the_family_optimum(n, m, r0):
+    """solve reaches the lowest energy of its trial family, alpha < 0 included."""
+    st = StateLabel(n, m)
+    assert solve(st, r0).energy <= _dense_scan_minimum(st, r0) + 1e-10
+
+
+def test_energy_is_the_rayleigh_quotient_of_the_state(solved_r2):
+    """The Ritz eigenvalue solve reports equals the independent functional."""
+    for cs in solved_r2.values():
+        e = energy_functional(cs.state, cs.r0, cs.alpha, cs.grid(), cs.node_coeffs)
+        assert cs.energy == pytest.approx(e, rel=1e-12, abs=0.0)
+
+
+def test_optimum_outside_the_scan_is_an_error(monkeypatch):
+    """1s at r0 = 2 has alpha* = 1.56, beyond a scan reaching alpha = 1."""
+    monkeypatch.setattr(confined, "_SCAN_REACH", 0.5)
+    with pytest.raises(ConvergenceError, match="scan edge"):
+        solve(StateLabel(1, 0), 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nm=hst.integers(1, 3).flatmap(lambda n: hst.tuples(hst.just(n), hst.integers(0, n - 1))),
+    r0=hst.floats(MIN_WALL_RADIUS, 80.0),
+)
+def test_supported_domain_solves_above_the_exact_level(nm, r0):
+    """Every state with n <= 3 solves at every supported wall radius up to 80."""
+    st = StateLabel(*nm)
+    assert solve(st, r0).energy >= oracle_energy(st, r0) - 1e-9

@@ -22,12 +22,18 @@ The r-integral is oscillatory: composite Gauss-Legendre panels are tied to
 the local Bessel period 2 pi/p (at least 8 panels, counts rounded up to
 powers of two so momenta can share evaluation grids), and each group of
 momenta costs one kernel matrix J_m(p r) and one matrix-vector product.
-The p-grid is geometric from p_min = 1e-3 until the step reaches 8/r0,
-then arithmetic, extended adaptively until the tail criteria on the
-tabulated moments hold.  The moments of the final 12-point Gauss panels
-are then checked against their 25-point Gauss-Kronrod extension, which
-transforms only the 13 added nodes per panel; the table stores the
-Kronrod values, so every momentum is transformed once.
+The p-grid is geometric from p_min = 1e-3 (about six panels a decade).
+Its step is capped at 8/r0, to resolve the wall oscillation J_m(p r0), only
+below p_wall: beyond it the wall term's norm W(p) = r0 R'(r0)^2/(3 pi p^3)
+is so small that, by Cauchy-Schwarz against Int H^2 p dp = 1, leaving it
+unresolved moves the norm by at most 2 W^(1/2) + W <= _WALL_TOLERANCE
+(see _p_edges).  Tight walls keep the cap throughout; wide walls, whose
+R'(r0) vanishes to rounding, keep it nowhere.  The grid is extended
+adaptively until the tail criteria on the tabulated moments hold.  The
+moments of the final 12-point Gauss panels are then checked against their
+25-point Gauss-Kronrod extension, which transforms only the 13 added nodes
+per panel; the table stores the Kronrod values, so every momentum is
+transformed once.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
@@ -64,6 +70,7 @@ _P_ORDER = 12  # Gauss-Legendre order per momentum panel (Kronrod-extended to 25
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
 _DOUBLING_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
 _MAX_DOUBLINGS = 3  # panel bisections allowed when the Kronrod check fails
+_WALL_TOLERANCE = 1e-12  # norm change allowed from the wall term left unresolved beyond p_wall
 
 
 class AccuracyError(RuntimeError):
@@ -162,13 +169,25 @@ class RadialMomentumTable:
         return quad + self.tail_moment(k)
 
 
-def _p_edges(r0: float, lo: float, hi: float) -> np.ndarray:
-    """Panel edges from lo to hi: geometric (~6/decade) until steps reach 8/r0, then arithmetic."""
+def _p_edges(r0: float, lo: float, hi: float, p_wall: float) -> np.ndarray:
+    """Panel edges from lo to hi, geometric (~6/decade) with steps capped at 8/r0 below p_wall.
+
+    The cap resolves the wall term H ~ r0 R'(r0) J_m(p r0)/p^2, whose
+    oscillation has period 2 pi/r0.  Its norm beyond p is
+    W(p) = r0 R'(r0)^2/(3 pi p^3) (the wall part of tail_moment(0)), so by
+    Cauchy-Schwarz against Int H^2 p dp = 1, leaving it unresolved beyond p
+    changes the norm by at most 2 W(p)^(1/2) + W(p).  build_table passes
+    p_wall = (4 r0 R'(r0)^2/(3 pi tau^2))^(1/3), where W = tau^2/4 and that
+    bound is about tau = _WALL_TOLERANCE; beyond it the panels stay
+    geometric.
+    """
     cap = 8.0 / r0
     edges = [lo]
     p = lo
     while p < hi:
-        step = min(p * (_GEOM_RATIO - 1.0), cap)
+        step = p * (_GEOM_RATIO - 1.0)
+        if p < p_wall:
+            step = min(step, cap)
         # end at hi rather than leave a panel of rounding width before it
         p = hi if p + step >= hi - 1e-9 * step else p + step
         edges.append(p)
@@ -207,6 +226,8 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
     d_at = cs.radial(np.array([r0 - h, r0]))[1]
     curvature = float((d_at[1] - d_at[0]) / h)
     origin = -float(cs.radial(np.array([0.0]))[1][0]) if m == 0 else 0.0
+    # beyond p_wall the unresolved wall term moves the norm by <= _WALL_TOLERANCE (see _p_edges)
+    p_wall = (4.0 * r0 * slope**2 / (3.0 * math.pi * _WALL_TOLERANCE**2)) ** (1.0 / 3.0)
     ks = (0, 1, -2) if m >= 1 else (0, 1)
 
     def tabulate(p, w, phi, p_max):
@@ -215,7 +236,7 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
 
     p_cap = 2.0**10 / (eta * min(1.0, r0))
     # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
-    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta)])
+    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta, p_wall)])
     p, w = composite_gauss(edges, _P_ORDER)
     phi = hankel_transform(cs, p)
 
@@ -238,7 +259,7 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
                 f"{drift} against tolerances {0.5 * tol}"
             )
         previous = totals
-        new_edges = _p_edges(r0, table.p_max, min(2.0 * table.p_max, p_cap))
+        new_edges = _p_edges(r0, table.p_max, min(2.0 * table.p_max, p_cap), p_wall)
         p_new, w_new = composite_gauss(new_edges, _P_ORDER)
         edges = np.concatenate([edges, new_edges[1:]])
         p = np.concatenate([p, p_new])

@@ -228,3 +228,71 @@ def test_validation_errors(tables_r2):
     with pytest.raises(ValueError):
         tab.moment(-2)  # <p^-2> diverges for m = 0
     assert issubclass(AccuracyError, RuntimeError)
+
+
+@pytest.mark.parametrize("label, r0", [("1s", 16.0), ("1s", 40.0), ("2s", 40.0)])
+def test_wide_wall_moments_against_capped_reference(label, r0):
+    """Wide-wall tables, uncapped where the wall term vanishes, keep their moments.
+
+    The reference bisects twice the always-capped edges (8/r0 steps up to
+    p_max) and transforms its Gauss nodes; it keeps the table's tail terms.
+    """
+    cs = solve(next(s for s in STATES if s.label == label), r0)
+    tab = build_table(cs)
+    edges = np.concatenate([[0.0], momentum._p_edges(r0, P_MIN, tab.p_max, math.inf)])
+    for _ in range(2):
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    p, w = composite_gauss(edges, 12)
+    ref = dataclasses.replace(tab, p_grid=p, phi=hankel_transform(cs, p), p_weights=w)
+    for k in (0, 1):
+        assert tab.moment(k) == pytest.approx(ref.moment(k), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("r0", [20.0, 40.0])
+def test_wide_wall_transform_against_closed_form(r0):
+    """1s amplitudes on the whole table grid match the closed form, no Bessel quadrature.
+
+    With R = N e^(-alpha r) r^m Sum b_j r^j, the integral over [0, inf) is
+    H = N (2p)^m Gamma(m+1/2)/sqrt(pi) Sum b_j (j+1)! rho^-(2m+2+j) C^(m+1/2)_(j+1)(alpha/rho),
+    rho = sqrt(alpha^2 + p^2) (Gradshteyn-Ryzhik 6.623.1 differentiated in
+    alpha through the Gegenbauer generating function, DLMF 18.12.4).  The
+    [r0, inf) remainder is bounded by N Sum |b_j| Gamma(m+j+2, alpha r0)/alpha^(m+j+2).
+    """
+    from scipy.special import eval_gegenbauer, gamma, gammaincc
+
+    cs = solve(StateLabel(1, 0), r0)
+    m, alpha = cs.state.l, cs.alpha
+    b = np.polynomial.polynomial.polymul([1.0, *cs.node_coeffs], [1.0, -1.0 / r0])
+    j = np.arange(b.size)
+    remainder = cs.norm_constant * np.sum(
+        np.abs(b) * gammaincc(m + j + 2, alpha * r0) * gamma(m + j + 2) / alpha ** (m + j + 2)
+    )
+    tab = build_table(cs)
+    p = tab.p_grid[:, None]
+    rho = np.sqrt(alpha**2 + p**2)
+    terms = b * gamma(j + 2) * rho ** -(2 * m + 2 + j) * eval_gegenbauer(j + 1, m + 0.5, alpha / rho)
+    closed = (
+        cs.norm_constant * (2 * tab.p_grid) ** m * gamma(m + 0.5) / math.sqrt(math.pi) * terms.sum(axis=1)
+    )
+    scale = np.max(np.abs(closed))
+    assert remainder < 1e-14 * scale
+    assert np.max(np.abs(tab.phi - closed)) < 1e-12 * scale
+
+
+def test_wall_amplitude_sets_the_step_cap(monkeypatch):
+    """Wide walls drop the 8/r0 step; tight walls keep it above the geometric crossover.
+
+    The always-capped grid of 1s at r0 = 40 held 10375 momenta.  Panel
+    edges are recovered from the Kronrod weights, which sum to each width.
+    """
+    seen = _count_transformed(monkeypatch)
+    build_table(solve(StateLabel(1, 0), 40.0))
+    assert sum(seen) < 1000
+    for state, r0 in ((StateLabel(2, 1), 2.0), (StateLabel(1, 0), 0.7)):
+        tab = build_table(solve(state, r0))
+        widths = tab.p_weights.reshape(-1, 25).sum(axis=1)
+        lower = np.cumsum(widths) - widths
+        cap = 8.0 / r0
+        above = lower >= cap / (momentum._GEOM_RATIO - 1.0)
+        assert np.count_nonzero(above) > 10
+        assert np.all(widths[above] <= cap * (1.0 + 1e-9))

@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r0-max", type=float, dest="r0_max")
     sweep.add_argument("--points", type=int)
     sweep.add_argument("--spacing", choices=("log", "linear"))
-    sweep.add_argument("--quadrature-order", type=int, dest="quadrature_order")
-    sweep.add_argument("--p-tail-tolerance", type=float, dest="p_tail_tolerance")
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     sweep.add_argument("--out", help="output directory (default: current)")
     sweep.add_argument(
@@ -93,8 +91,6 @@ def _resolve_config(args: argparse.Namespace) -> SweepConfig:
             "r0_max": args.r0_max,
             "points": args.points,
             "spacing": args.spacing,
-            "quadrature_order": args.quadrature_order,
-            "p_tail_tolerance": args.p_tail_tolerance,
             "output_path": args.out,
             "emit_plot_data": args.emit_plot_data,
         }

@@ -14,9 +14,11 @@ that the state object is self-consistent.  In momentum space two measures
 are exact identities of the position-space state with definite m and are
 evaluated on that same grid: <p^2> = 2<T> = Int (R'^2 + m^2 R^2/r^2) r dr,
 and the Fisher information F = 4<r^2> - 4 m^2 <p^-2> (Romera,
-Sanchez-Moreno & Dehesa, Chem. Phys. Lett. 414 (2005) 468).  The norm,
-<p> and <p^-2> combine the panel quadrature stored in a
-RadialMomentumTable with its analytic large-p tail corrections.
+Sanchez-Moreno & Dehesa, Chem. Phys. Lett. 414 (2005) 468).  Its <p^-2>
+follows from Int_0^inf J_m(pr) J_m(pr') p^-1 dp = (r_</r_>)^m/(2m) for
+m >= 1 (see _inverse_p_square).  Only the norm and <p> combine the panel
+quadrature stored in a RadialMomentumTable with its analytic large-p tail
+corrections.
 
 The free_*_report helpers evaluate the same measures for the analytic free
 atom by direct quadrature.  They exist as oracles: the closed forms in
@@ -38,7 +40,7 @@ from .free_atom import (
     position_mean,
 )
 from .momentum import AccuracyError, RadialMomentumTable
-from .specfun import composite_gauss, semi_axis_rule
+from .specfun import composite_gauss, gauss_legendre, semi_axis_rule
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-4
+_INNER_ORDER = 32  # Gauss-Legendre order of the inner <p^-2> integral on [0, r]
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,35 @@ def position_measures(cs: ConfinedState) -> MeasureReport:
     return _radial_report("position", grid.nodes, grid.weights, *cs.radial(grid.nodes))
 
 
+def _inverse_p_square(cs: ConfinedState) -> float:
+    """<p^-2> = Int H^2 p^-1 dp of an m >= 1 state, as a position-space integral.
+
+    Inserting H(p) = Int R J_m(pr) r dr and the 2D closure integral
+    Int_0^inf J_m(pr) J_m(pr') p^-1 dp = (r_</r_>)^m/(2m) gives
+
+        <p^-2> = (1/m) Int_0^r0 R r^(1-m) [Int_0^r R r'^(1+m) dr'] dr.
+
+    The outer integral runs on the solver's grid; the inner one maps a
+    fixed Gauss-Legendre rule onto [0, r] at every node, on which the
+    integrand is smooth.
+    """
+    m = cs.state.l
+    grid = cs.grid()
+    r = grid.nodes
+    inner_rule = gauss_legendre(_INNER_ORDER)
+    half = 0.5 * r[:, None]
+    s = half * (inner_rule.nodes[None, :] + 1.0)
+    inner = (half * inner_rule.weights * cs.radial(s)[0] * s ** (m + 1)).sum(axis=1)
+    outer = grid.weights * cs.radial(r)[0] * r ** (1 - m)
+    return float(np.sum(outer * inner)) / m
+
+
 def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureReport:
     """Measures of the momentum density of cs, given its momentum table.
 
     The norm and <p> come from the table, tail corrections included.  <p^2>
-    is twice the kinetic energy and F = 4<r^2> - 4 m^2 <p^-2>, both taken
-    on the solver's grid; only <p^-2> (m >= 1) is read from the table.
+    is twice the kinetic energy and F = 4<r^2> - 4 m^2 <p^-2>, all taken
+    in position space (see _inverse_p_square).
     """
     if table.state != cs.state or table.r0 != cs.r0:
         raise ValueError(
@@ -133,7 +159,7 @@ def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureR
     second = float(np.sum(grid.weights * (deriv * deriv + m_sq * value * value / (r * r)) * r))
     fisher = 4.0 * float(np.sum(grid.weights * value * value * r**3))
     if m_sq:
-        fisher -= 4.0 * m_sq * table.moment(-2)
+        fisher -= 4.0 * m_sq * _inverse_p_square(cs)
     norm = table.moment(0)
     return _build_report("momentum", table.moment(1), second, fisher, abs(norm - 1.0))
 

@@ -12,11 +12,12 @@ so that Int H^2 p dp = 1 mirrors the position normalization
 Int R^2 r dr = 1.  hankel_transform returns H and RadialMomentumTable
 stores it.
 
-The table supplies the quantities the measures still take in momentum
-space: the norm (the Parseval check), <p> and, for m >= 1, <p^-2>.
-<p^2> = 2<T> and the Fisher information F = 4<r^2> - 4 m^2 <p^-2> are
-exact identities of the position-space state and are evaluated there (see
-measures), so the table carries values only, no derivative.
+The table supplies the two quantities the measures still take in momentum
+space: the norm (the Parseval check) and <p>.  <p^2> = 2<T> and the Fisher
+information F = 4<r^2> - 4 m^2 <p^-2> are exact identities of the
+position-space state and are evaluated there (see measures), so the table
+carries values only, no derivative; its <p^2> remains as a check of the
+kinetic identity.
 
 The r-integral is oscillatory: composite Gauss-Legendre panels are tied to
 the local Bessel period 2 pi/p (at least 8 panels, counts rounded up to
@@ -69,6 +70,7 @@ _R_ORDER = 12  # Gauss-Legendre order per Bessel-period panel
 _P_ORDER = 12  # Gauss-Legendre order per momentum panel (Kronrod-extended to 25)
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
 _DOUBLING_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
+_TAIL_TOLERANCE = 1e-6  # estimated norm beyond p_max accepted
 _MAX_DOUBLINGS = 3  # panel bisections allowed when the Kronrod check fails
 _WALL_TOLERANCE = 1e-12  # norm change allowed from the wall term left unresolved beyond p_wall
 
@@ -134,20 +136,18 @@ class RadialMomentumTable:
         return self.tail_moment(0)
 
     def tail_moment(self, k: int) -> float:
-        """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {-2, 0, 1, 2}.
+        """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {0, 1, 2}.
 
         Sources: the leading wall term H ~ r0 R'(r0) J_m(p r0)/p^2 with J_m^2
         averaged to 1/(pi x), its subleading correction one power down (built
         from R''(r0)), for m = 0 the smooth origin term H ~ -R'(0)/p^3, and the
         leading boundary term of the oscillatory wall-origin cross integral.
-        Remaining cross terms average out and are dropped.  The k = -2 moment
-        <p^-2> diverges at the origin for m = 0 and is rejected there.
+        Remaining cross terms average out and are dropped.  Negative k is not
+        served: <p^-2> is a position-space integral (see measures).
         """
         m = self.state.l
-        if k not in (-2, 0, 1, 2):
-            raise ValueError(f"tail moments implemented for k in {{-2, 0, 1, 2}}, got {k}")
-        if k == -2 and m == 0:
-            raise ValueError("<p^-2> diverges for m = 0")
+        if k not in (0, 1, 2):
+            raise ValueError(f"tail moments implemented for k in {{0, 1, 2}}, got {k}")
         r0, p_max, slope, origin = self.r0, self.p_max, self.wall_slope, self.origin_coeff
         # amplitudes in H ~ (2/pi p)^(1/2) [a cos(chi)/p^2 + b sin(chi)/p^3]
         a = slope * math.sqrt(r0)
@@ -194,16 +194,15 @@ def _p_edges(r0: float, lo: float, hi: float, p_wall: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMomentumTable:
+def build_table(cs: ConfinedState) -> RadialMomentumTable:
     """Tabulate the momentum amplitude on an adaptive grid with verified moments.
 
     The grid of 12-point Gauss panels is extended octave by octave (up to a
     2^10/eta cap, raised by 1/r0 inside sub-unit walls where the momentum
     content scales with the confinement) until the tail-corrected moments
     the measures read from the table are stable from one octave to the next
-    and the estimated tail mass is below tolerance.  Those moments are
-    Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>), plus k = -2
-    (<p^-2>, the Fisher identity's angular term) when m >= 1.  The k = 2
+    and the estimated tail mass is below _TAIL_TOLERANCE.  Those moments are
+    Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>).  The k = 2
     moment stays available but does not drive p_max: the measures take
     <p^2> from position space.
 
@@ -215,8 +214,6 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
     Kronrod values.  A failed check bisects the panels and repeats, up to
     _MAX_DOUBLINGS times, before raising AccuracyError.
     """
-    if not (0.0 < p_tail_tolerance <= 1e-3):
-        raise ValueError(f"p_tail_tolerance out of range (0, 1e-3]: {p_tail_tolerance}")
     eta = cs.state.eta
     r0 = cs.r0
     m = cs.state.l
@@ -228,11 +225,10 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
     origin = -float(cs.radial(np.array([0.0]))[1][0]) if m == 0 else 0.0
     # beyond p_wall the unresolved wall term moves the norm by <= _WALL_TOLERANCE (see _p_edges)
     p_wall = (4.0 * r0 * slope**2 / (3.0 * math.pi * _WALL_TOLERANCE**2)) ** (1.0 / 3.0)
-    ks = (0, 1, -2) if m >= 1 else (0, 1)
 
     def tabulate(p, w, phi, p_max):
         table = RadialMomentumTable(cs.state, r0, p, phi, w, p_max, slope, curvature, origin)
-        return table, np.array([table.moment(k) for k in ks])
+        return table, np.array([table.moment(0), table.moment(1)])
 
     p_cap = 2.0**10 / (eta * min(1.0, r0))
     # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
@@ -247,15 +243,15 @@ def build_table(cs: ConfinedState, p_tail_tolerance: float = 1e-6) -> RadialMome
     while True:
         table, totals = tabulate(p, w, phi, float(edges[-1]))
         tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
-        tol[0] = p_tail_tolerance
+        tol[0] = _TAIL_TOLERANCE
         drift = np.abs(totals - previous)
-        if table.tail_mass <= p_tail_tolerance and np.all(drift <= 0.5 * tol):
+        if table.tail_mass <= _TAIL_TOLERANCE and np.all(drift <= 0.5 * tol):
             break
         if table.p_max >= p_cap:
             raise AccuracyError(
                 f"momentum tail tolerance unreachable for {cs.state.label} at r0={r0}: "
                 f"p_max={table.p_max:.4g} reached the cap {p_cap:.4g} with tail_mass="
-                f"{table.tail_mass:.3g} (target {p_tail_tolerance:.3g}) and moment drift "
+                f"{table.tail_mass:.3g} (target {_TAIL_TOLERANCE:.3g}) and moment drift "
                 f"{drift} against tolerances {0.5 * tol}"
             )
         previous = totals

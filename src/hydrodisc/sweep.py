@@ -15,6 +15,7 @@ give byte-identical files.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -75,8 +76,6 @@ class SweepConfig:
     r0_max: float = 40.0
     points: int = 40
     spacing: str = "log"
-    quadrature_order: int = 200
-    p_tail_tolerance: float = 1e-6
     output_path: str = "."
     emit_plot_data: bool = False
 
@@ -95,12 +94,6 @@ class SweepConfig:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if self.quadrature_order < 8:
-            raise ValueError(f"quadrature_order must be >= 8, got {self.quadrature_order}")
-        if not (0.0 < self.p_tail_tolerance <= 1e-3):
-            raise ValueError(
-                f"p_tail_tolerance must lie in (0, 1e-3], got {self.p_tail_tolerance}"
-            )
 
 
 @dataclass(frozen=True)
@@ -161,19 +154,14 @@ class PointEvaluation:
     error: ConvergenceError | AccuracyError | None = None
 
 
-def evaluate(
-    state: StateLabel,
-    r0: float,
-    quadrature_order: int = 200,
-    p_tail_tolerance: float = 1e-6,
-) -> PointEvaluation:
+def evaluate(state: StateLabel, r0: float) -> PointEvaluation:
     """Solve one point, then compute its position and momentum measures.
 
     Convergence and accuracy failures end the evaluation at their stage;
     anything else (a genuine usage or programming error) propagates.
     """
     try:
-        cs = solve(state, r0, order=quadrature_order)
+        cs = solve(state, r0)
     except ConvergenceError as exc:
         return PointEvaluation(state, r0, stage="solve", error=exc)
     try:
@@ -181,22 +169,16 @@ def evaluate(
     except AccuracyError as exc:
         return PointEvaluation(state, r0, cs, stage="position", error=exc)
     try:
-        table = build_table(cs, p_tail_tolerance=p_tail_tolerance)
+        table = build_table(cs)
         mom = momentum_measures(cs, table)
     except AccuracyError as exc:
         return PointEvaluation(state, r0, cs, pos, stage="momentum", error=exc)
     return PointEvaluation(state, r0, cs, pos, table, mom)
 
 
-def evaluate_point(
-    n: int,
-    m: int,
-    r0: float,
-    quadrature_order: int = 200,
-    p_tail_tolerance: float = 1e-6,
-) -> SweepRow:
+def evaluate_point(n: int, m: int, r0: float) -> SweepRow:
     """The sweep row of one (state, r0) point; a failed stage fills `error`."""
-    ev = evaluate(StateLabel(n, m), r0, quadrature_order, p_tail_tolerance)
+    ev = evaluate(StateLabel(n, m), r0)
     row = SweepRow(n=n, m=m, r0=r0)
     if ev.cs is not None:
         row = replace(row, alpha_opt=ev.cs.alpha, energy=ev.cs.energy)
@@ -221,18 +203,14 @@ def evaluate_point(
     return row
 
 
-def _evaluate_task(task: tuple[int, int, float, int, float]) -> SweepRow:
+def _evaluate_task(task: tuple[int, int, float]) -> SweepRow:
     return evaluate_point(*task)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     """All sweep rows, sorted by (n, m, r0), failures isolated per row."""
     r_values = radii(cfg)
-    tasks = [
-        (n, m, float(r0), cfg.quadrature_order, cfg.p_tail_tolerance)
-        for n, m in sorted(cfg.states)
-        for r0 in r_values
-    ]
+    tasks = [(n, m, float(r0)) for n, m in sorted(cfg.states) for r0 in r_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_evaluate_task, tasks))
@@ -333,12 +311,19 @@ def emit_plot_data(rows: list[SweepRow], directory: str) -> None:
                 fh.write("\n".join(lines) + "\n")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse key=value lines; blank lines and # comments are skipped."""
+    """Parse key=value lines; blank lines and # comments are skipped.
+
+    A # opens a comment only at the start of a line or after whitespace, so
+    a value such as a path may contain one.
+    """
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -378,8 +363,6 @@ def config_from(
         "r0_max": float,
         "points": int,
         "spacing": str,
-        "quadrature_order": int,
-        "p_tail_tolerance": float,
         "output_path": str,
         "emit_plot_data": lambda s: _parse_bool(s),
     }
@@ -401,7 +384,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def config_echo(cfg: SweepConfig, jobs: int) -> str:
-    """Render the resolved configuration as diff-friendly key=value lines."""
+    """Render the resolved configuration as diff-friendly key=value lines.
+
+    The text reads back through --config.  jobs does not change the output,
+    so it is recorded as a comment.
+    """
     states = ";".join(f"{n},{m}" for n, m in cfg.states)
     pairs = [
         ("states", states),
@@ -409,10 +396,7 @@ def config_echo(cfg: SweepConfig, jobs: int) -> str:
         ("r0_max", repr(cfg.r0_max)),
         ("points", str(cfg.points)),
         ("spacing", cfg.spacing),
-        ("quadrature_order", str(cfg.quadrature_order)),
-        ("p_tail_tolerance", repr(cfg.p_tail_tolerance)),
         ("output_path", cfg.output_path),
         ("emit_plot_data", "true" if cfg.emit_plot_data else "false"),
-        ("jobs", str(jobs)),
     ]
-    return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+    return "".join(f"{k}={v}\n" for k, v in pairs) + f"# jobs={jobs}\n"

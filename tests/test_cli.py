@@ -147,3 +147,35 @@ def test_verify_summarizes_failed_criteria(monkeypatch, capsys):
 @pytest.mark.parametrize("flag", ["--r0-min", "--points"])
 def test_non_numeric_flag_is_usage_error(flag, capsys):
     assert main(["sweep", flag, "banana"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [("--p-tail-tolerance", "p_tail_tolerance", "1e-7"),
+     ("--quadrature-order", "quadrature_order", "300")],
+)
+def test_accuracy_knobs_are_not_options(tmp_path, capsys, flag, key, value):
+    """The per-point accuracy is fixed: neither a flag nor a config key sets it."""
+    assert main(["sweep", flag, value, "--out", str(tmp_path / "a")]) == EXIT_USAGE
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_USAGE
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_rerun_from_the_echo_is_byte_identical(tmp_path):
+    first = tmp_path / "a#1"
+    argv = ["sweep", "--states", "1,0;2,1", "--r0-min", "1.5", "--r0-max", "3.0",
+            "--points", "2", "--spacing", "linear", "--jobs", "2", "--out", str(first)]
+    assert main(argv) == EXIT_OK
+    echo = first / "sweep_config.txt"
+    assert f"output_path={first}\n" in echo.read_text()
+    second = tmp_path / "b"
+    assert main(["sweep", "--config", str(echo), "--out", str(second)]) == EXIT_OK
+    assert (second / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
+    rerun_echo = (second / "sweep_config.txt").read_text()
+    assert rerun_echo == echo.read_text().replace(str(first), str(second)).replace(
+        "# jobs=2", "# jobs=1"
+    )

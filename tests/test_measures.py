@@ -1,7 +1,9 @@
 """Spread, Fisher information, and Cramer-Rao products in both spaces."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from hydrodisc.confined import coulomb_expectation, solve
@@ -74,17 +76,30 @@ def test_norm_tolerance_guards_momentum():
 
 
 def test_momentum_identities_use_the_position_state():
-    """<p^2> is 2<T>; F_gamma is 4<r^2>, less 4m^2<p^-2> from the table when m >= 1."""
-    for st in (StateLabel(2, 0), StateLabel(3, 2)):
-        cs = solve(st, 3.0)
+    """<p^2> is 2<T>; F_gamma = 4<r^2> - 4m^2<p^-2> takes <p^-2> from position space.
+
+    F_gamma implies a <p^-2>, checked against the Hankel path: the table's
+    in-grid sum Int H^2 p^-1 dp plus the leading wall tail beyond p_max,
+    r0 R'(r0)^2/(5 pi p_max^5) from H ~ r0 R'(r0) J_m(p r0)/p^2 (3e-10
+    relative at r0 = 2.7, so the in-grid sum alone would not do).
+    """
+    cases = [(StateLabel(2, 0), 3.0)]
+    cases += [(st, r0) for st in (StateLabel(2, 1), StateLabel(3, 2)) for r0 in (0.5, 2.7, 8.0, 40.0)]
+    for st, r0 in cases:
+        cs = solve(st, r0)
         tab = build_table(cs)
         pos = position_measures(cs)
         mom = momentum_measures(cs, tab)
         kinetic = 2.0 * (cs.energy + coulomb_expectation(cs))
         assert abs(mom.second_moment / kinetic - 1.0) < 1e-12
-        angular = 4.0 * st.l**2 * tab.moment(-2) if st.l else 0.0
-        assert abs(mom.fisher - (4.0 * pos.second_moment - angular)) < 1e-12 * mom.fisher
         assert mom.mean == tab.moment(1)
+        if st.l == 0:
+            assert mom.fisher == 4.0 * pos.second_moment
+            continue
+        implied = (4.0 * pos.second_moment - mom.fisher) / (4.0 * st.l**2)
+        in_grid = float(np.sum(tab.p_weights * tab.phi**2 / tab.p_grid))
+        wall_tail = r0 * tab.wall_slope**2 / (5.0 * math.pi * tab.p_max**5)
+        assert abs(implied / (in_grid + wall_tail) - 1.0) < 1e-10, (st.label, r0)
 
 
 def test_momentum_measures_rejects_a_foreign_table():

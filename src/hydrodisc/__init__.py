@@ -6,7 +6,7 @@ that tracks variance, Fisher information and their Cramer-Rao product as
 the wall radius shrinks.
 """
 
-from .confined import ConfinedState, ConvergenceError, RadialGrid, coulomb_expectation, solve
+from .confined import ConfinedState, ConvergenceError, coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import (
     FreeMeasures,
@@ -14,7 +14,6 @@ from .free_atom import (
     free_energy,
     free_measures,
     momentum_mean,
-    table1,
     table1_states,
 )
 from .measures import (
@@ -45,7 +44,6 @@ __all__ = [
     "FreeMeasures",
     "MeasureReport",
     "NORM_TOLERANCE",
-    "RadialGrid",
     "RadialMomentumTable",
     "StateLabel",
     "SweepConfig",
@@ -68,7 +66,6 @@ __all__ = [
     "position_measures",
     "run_sweep",
     "solve",
-    "table1",
     "table1_states",
     "table1_text",
 ]

@@ -52,8 +52,8 @@ from .specfun import gauss_legendre
 
 __all__ = [
     "ConvergenceError",
-    "RadialGrid",
     "ConfinedState",
+    "radial_rule",
     "trial_radial_wf",
     "node_coefficients",
     "energy_functional",
@@ -66,25 +66,21 @@ MIN_WALL_RADIUS = 0.05
 _ALPHA_XATOL = 1e-10  # absolute alpha tolerance of the bounded Brent search
 _SCAN_POINTS = 25  # samples of E(alpha) over the scan range
 _SCAN_REACH = 8.0  # the scan covers alpha in [-reach/r0, reach/min(r0, eta)]
+_RADIAL_ORDER = 200  # Gauss-Legendre nodes of the radial rule on [0, r0]
 
 
 class ConvergenceError(RuntimeError):
     """Raised when the variational minimizer fails to settle."""
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Gauss-Legendre quadrature grid on [0, r0]."""
+def radial_rule(r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [0, r0].
 
-    r0: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @classmethod
-    def for_wall(cls, r0: float, order: int = 200) -> "RadialGrid":
-        r, w = gauss_legendre(order).mapped(0.0, r0)
-        return cls(r0=r0, nodes=r, weights=w, order=order)
+    Every radial integral of a confined state runs on this one rule: the
+    solver's matrix elements, the energy functional and the position-space
+    measures.
+    """
+    return gauss_legendre(_RADIAL_ORDER).mapped(0.0, r0)
 
 
 def trial_radial_wf(
@@ -138,7 +134,7 @@ def _ritz_powers(n_r: int) -> tuple[int, ...]:
 
 
 def node_coefficients(
-    state: StateLabel, r0: float, alpha: float, grid: RadialGrid
+    state: StateLabel, r0: float, alpha: float, rule: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, tuple[float, ...]]:
     """Ritz energy and polynomial coefficients of the trial at fixed alpha.
 
@@ -153,9 +149,10 @@ def node_coefficients(
     c_2 r^2; without it the linear cutoff tilts the density of spatially
     extended states (3d most of all) even at weak confinement.  The energy
     is that eigenvalue: the Rayleigh quotient of the returned trial on the
-    same quadrature, which energy_functional evaluates independently.
+    same quadrature rule (r, w), which energy_functional evaluates
+    independently.
     """
-    r, w = grid.nodes, grid.weights
+    r, w = rule
     powers = _ritz_powers(state.n_r)
     v0, d0 = trial_radial_wf(state, r0, alpha, r, (0.0,) * state.n_r)
     j = np.array(powers, dtype=float)[:, None]
@@ -184,13 +181,11 @@ def energy_functional(
     state: StateLabel,
     r0: float,
     alpha: float,
-    grid: RadialGrid | None = None,
+    rule: tuple[np.ndarray, np.ndarray],
     node_coeffs: tuple[float, ...] = (),
 ) -> float:
-    """Rayleigh quotient E(alpha) of the trial state inside the wall."""
-    if grid is None:
-        grid = RadialGrid.for_wall(r0)
-    r, w = grid.nodes, grid.weights
+    """Rayleigh quotient E(alpha) of the trial state on the quadrature rule (r, w)."""
+    r, w = rule
     f, df = trial_radial_wf(state, r0, alpha, r, node_coeffs)
     norm = np.sum(w * f * f * r)
     kinetic = 0.5 * np.sum(w * df * df * r)
@@ -209,7 +204,6 @@ class ConfinedState:
     alpha: float
     energy: float
     norm_constant: float
-    quadrature_order: int
     node_coeffs: tuple[float, ...] = ()
 
     def radial(self, r) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +211,9 @@ class ConfinedState:
         value, deriv = trial_radial_wf(self.state, self.r0, self.alpha, r, self.node_coeffs)
         return self.norm_constant * value, self.norm_constant * deriv
 
-    def grid(self) -> RadialGrid:
-        return RadialGrid.for_wall(self.r0, self.quadrature_order)
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The radial rule (r, w) on [0, r0] the state was solved on."""
+        return radial_rule(self.r0)
 
     def wall_slope(self) -> float:
         """dR/dr at the wall, the coefficient driving the momentum tail."""
@@ -226,7 +221,7 @@ class ConfinedState:
         return float(deriv[0])
 
 
-def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
+def solve(state: StateLabel, r0: float) -> ConfinedState:
     """Minimize E(alpha) for one state and wall radius.
 
     At each alpha one Ritz solve gives the energy and the node and
@@ -239,10 +234,10 @@ def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
     """
     if r0 < MIN_WALL_RADIUS:
         raise ValueError(f"wall radius below supported minimum {MIN_WALL_RADIUS}: {r0}")
-    grid = RadialGrid.for_wall(r0, order)
+    rule = radial_rule(r0)
 
     def energy_at(alpha: float) -> float:
-        return node_coefficients(state, r0, alpha, grid)[0]
+        return node_coefficients(state, r0, alpha, rule)[0]
 
     alphas = np.linspace(-_SCAN_REACH / r0, _SCAN_REACH / min(r0, state.eta), _SCAN_POINTS)
     energies = [energy_at(a) for a in alphas]
@@ -268,9 +263,10 @@ def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
                 best = res
 
     alpha = float(best.x)
-    energy, coeffs = node_coefficients(state, r0, alpha, grid)
-    f, _ = trial_radial_wf(state, r0, alpha, grid.nodes, coeffs)
-    norm_sq = float(np.sum(grid.weights * f * f * grid.nodes))
+    energy, coeffs = node_coefficients(state, r0, alpha, rule)
+    r, w = rule
+    f, _ = trial_radial_wf(state, r0, alpha, r, coeffs)
+    norm_sq = float(np.sum(w * f * f * r))
     if not norm_sq > 0.0:
         raise ConvergenceError(f"degenerate trial norm for {state.label} at r0={r0}")
     return ConfinedState(
@@ -279,14 +275,13 @@ def solve(state: StateLabel, r0: float, order: int = 200) -> ConfinedState:
         alpha=alpha,
         energy=energy,
         norm_constant=1.0 / math.sqrt(norm_sq),
-        quadrature_order=order,
         node_coeffs=coeffs,
     )
 
 
 def coulomb_expectation(cs: ConfinedState) -> float:
     """<1/r> of the optimized state, for kinetic-energy consistency checks."""
-    grid = cs.grid()
-    value, _ = cs.radial(grid.nodes)
-    return float(np.sum(grid.weights * value * value))
+    r, w = cs.grid()
+    value, _ = cs.radial(r)
+    return float(np.sum(w * value * value))
 

@@ -38,7 +38,6 @@ __all__ = [
     "circular_momentum_moment",
     "free_measures",
     "table1_states",
-    "table1",
     "free_radial_position_wf",
     "free_radial_momentum_wf",
 ]
@@ -241,11 +240,6 @@ def free_measures(state: StateLabel) -> FreeMeasures:
 def table1_states() -> list[StateLabel]:
     """The four 2D states tabulated and swept throughout: 1s, 2s, 2p, 3d."""
     return [StateLabel(1, 0), StateLabel(2, 0), StateLabel(2, 1), StateLabel(3, 2)]
-
-
-def table1() -> list[tuple[StateLabel, FreeMeasures]]:
-    """Free-atom reference table: measures of the 1s, 2s, 2p and 3d states."""
-    return [(s, free_measures(s)) for s in table1_states()]
 
 
 def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarray]:

@@ -113,8 +113,8 @@ def position_measures(cs: ConfinedState) -> MeasureReport:
     The m >= 1 states use the radial Fisher formula too, since the planar
     density carries no angular dependence.
     """
-    grid = cs.grid()
-    return _radial_report("position", grid.nodes, grid.weights, *cs.radial(grid.nodes))
+    r, w = cs.grid()
+    return _radial_report("position", r, w, *cs.radial(r))
 
 
 def _inverse_p_square(cs: ConfinedState) -> float:
@@ -130,13 +130,12 @@ def _inverse_p_square(cs: ConfinedState) -> float:
     integrand is smooth.
     """
     m = cs.state.l
-    grid = cs.grid()
-    r = grid.nodes
+    r, w = cs.grid()
     inner_rule = gauss_legendre(_INNER_ORDER)
     half = 0.5 * r[:, None]
     s = half * (inner_rule.nodes[None, :] + 1.0)
     inner = (half * inner_rule.weights * cs.radial(s)[0] * s ** (m + 1)).sum(axis=1)
-    outer = grid.weights * cs.radial(r)[0] * r ** (1 - m)
+    outer = w * cs.radial(r)[0] * r ** (1 - m)
     return float(np.sum(outer * inner)) / m
 
 
@@ -152,48 +151,49 @@ def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureR
             f"momentum table of {table.state.label} at r0={table.r0} does not belong "
             f"to {cs.state.label} at r0={cs.r0}"
         )
-    grid = cs.grid()
-    r = grid.nodes
+    r, w = cs.grid()
     value, deriv = cs.radial(r)
     m_sq = float(cs.state.l**2)
-    second = float(np.sum(grid.weights * (deriv * deriv + m_sq * value * value / (r * r)) * r))
-    fisher = 4.0 * float(np.sum(grid.weights * value * value * r**3))
+    second = float(np.sum(w * (deriv * deriv + m_sq * value * value / (r * r)) * r))
+    fisher = 4.0 * float(np.sum(w * value * value * r**3))
     if m_sq:
         fisher -= 4.0 * m_sq * _inverse_p_square(cs)
     norm = table.moment(0)
     return _build_report("momentum", table.moment(1), second, fisher, abs(norm - 1.0))
 
 
-def free_position_report(state: StateLabel, order: int = 16, levels: int = 14) -> MeasureReport:
+def free_position_report(state: StateLabel) -> MeasureReport:
     """Quadrature-based measures of the free atom's position density."""
     scale = position_mean(state)
-    r, w = semi_axis_rule(scale, order=order, levels=levels)
+    r, w = semi_axis_rule(scale)
     return _radial_report("position", r, w, *free_radial_position_wf(state, r))
 
 
-def _compact_momentum_rule(
-    state: StateLabel, order: int = 16, levels: int = 40
-) -> tuple[np.ndarray, np.ndarray]:
+_COMPACT_ORDER = 16  # Gauss-Legendre order per panel of the free momentum rule
+_COMPACT_LEVELS = 40  # dyadic panel levels toward each end of the free momentum rule
+
+
+def _compact_momentum_rule(state: StateLabel) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature on p in [0, inf) built in the compact variable of M(p).
 
     Substituting y = (1 - eta^2 p^2) / (1 + eta^2 p^2) maps the half line
     to [-1, 1], where the momentum wavefunction is polynomial up to
     endpoint powers.  Dyadic refinement toward both endpoints resolves the
-    half-integer powers there; levels = 40 reaches p ~ 2^20 / eta, far past
+    half-integer powers there; 40 levels reach p ~ 2^20 / eta, far past
     where any tabulated moment integrand carries mass.
     """
-    steps = 0.5 ** np.arange(1, levels + 1)
+    steps = 0.5 ** np.arange(1, _COMPACT_LEVELS + 1)
     edges = np.concatenate(([-1.0], -1.0 + steps[::-1], 1.0 - steps, [1.0]))
-    y, wy = composite_gauss(edges, order)
+    y, wy = composite_gauss(edges, _COMPACT_ORDER)
     eta = state.eta
     p = np.sqrt((1.0 - y) / (1.0 + y)) / eta
     jac = 1.0 / (eta * (1.0 + y) * np.sqrt(1.0 - y * y))
     return p, wy * jac
 
 
-def free_momentum_report(state: StateLabel, order: int = 16, levels: int = 40) -> MeasureReport:
+def free_momentum_report(state: StateLabel) -> MeasureReport:
     """Quadrature-based measures of the free atom's momentum density."""
-    p, w = _compact_momentum_rule(state, order=order, levels=levels)
+    p, w = _compact_momentum_rule(state)
     return _radial_report("momentum", p, w, *free_radial_momentum_wf(state, p))
 
 

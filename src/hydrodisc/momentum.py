@@ -199,12 +199,14 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
 
     The grid of 12-point Gauss panels is extended octave by octave (up to a
     2^10/eta cap, raised by 1/r0 inside sub-unit walls where the momentum
-    content scales with the confinement) until the tail-corrected moments
-    the measures read from the table are stable from one octave to the next
-    and the estimated tail mass is below _TAIL_TOLERANCE.  Those moments are
-    Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>).  The k = 2
-    moment stays available but does not drive p_max: the measures take
-    <p^2> from position space.
+    content scales with the confinement, and to 4 p_tail where the wall
+    term's tail mass r0 R'(r0)^2/(3 pi p_tail^3) = _TAIL_TOLERANCE lies
+    beyond it, as in tight walls of n >= 4 states) until the tail-corrected
+    moments the measures read from the table are stable from one octave to
+    the next and the estimated tail mass is below _TAIL_TOLERANCE.  Those
+    moments are Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>).
+    The k = 2 moment stays available but does not drive p_max: the measures
+    take <p^2> from position space.
 
     The final panels are then verified by their Gauss-Kronrod extension:
     the 13 Kronrod nodes per panel are transformed, the 12 Gauss values are
@@ -230,7 +232,8 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
         table = RadialMomentumTable(cs.state, r0, p, phi, w, p_max, slope, curvature, origin)
         return table, np.array([table.moment(0), table.moment(1)])
 
-    p_cap = 2.0**10 / (eta * min(1.0, r0))
+    p_tail = (r0 * slope**2 / (3.0 * math.pi * _TAIL_TOLERANCE)) ** (1.0 / 3.0)
+    p_cap = max(2.0**10 / (eta * min(1.0, r0)), 4.0 * p_tail)
     # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
     edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta, p_wall)])
     p, w = composite_gauss(edges, _P_ORDER)

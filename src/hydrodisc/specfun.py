@@ -156,19 +156,21 @@ def composite_gauss(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     return composite_rule(edges, gauss_legendre(order))
 
 
-def semi_axis_rule(
-    scale: float, order: int = 16, levels: int = 14
-) -> tuple[np.ndarray, np.ndarray]:
+_SEMI_AXIS_ORDER = 16  # Gauss-Legendre order per panel of semi_axis_rule
+_SEMI_AXIS_LEVELS = 14  # dyadic panels of semi_axis_rule toward t = 1
+
+
+def semi_axis_rule(scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for integrals over [0, inf) of exponentially decaying integrands.
 
     Uses the substitution x = scale * t / (1 - t) with panels refined
-    dyadically toward t = 1.  The last panel stops at t = 1 - 2**-levels,
-    i.e. x_max = scale * (2**levels - 1), far beyond where e^-x underflows.
+    dyadically toward t = 1.  The last panel stops at t = 1 - 2**-14,
+    i.e. x_max = scale * (2**14 - 1), far beyond where e^-x underflows.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    t_edges = 1.0 - 0.5 ** np.arange(levels + 1)
-    t, wt = composite_gauss(t_edges, order)
+    t_edges = 1.0 - 0.5 ** np.arange(_SEMI_AXIS_LEVELS + 1)
+    t, wt = composite_gauss(t_edges, _SEMI_AXIS_ORDER)
     x = scale * t / (1.0 - t)
     w = wt * scale / (1.0 - t) ** 2
     return x, w

@@ -15,7 +15,6 @@ give byte-identical files.
 from __future__ import annotations
 
 import os
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -311,20 +310,17 @@ def emit_plot_data(rows: list[SweepRow], directory: str) -> None:
                 fh.write("\n".join(lines) + "\n")
 
 
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse key=value lines; blank lines and # comments are skipped.
+    """Parse key=value lines; blank lines and # comment lines are skipped.
 
-    A # opens a comment only at the start of a line or after whitespace, so
-    a value such as a path may contain one.
+    A # opens a comment only as the first non-blank character of a line, so
+    a value such as a path keeps every # it contains.
     """
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")

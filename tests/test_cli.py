@@ -46,6 +46,25 @@ def test_sweep_writes_expected_files(tmp_path, capsys):
     assert "sweep: 4 rows (0 failed)" in capsys.readouterr().out
 
 
+def test_tight_walls_of_n4_and_n5_states_build(tmp_path, capsys):
+    """4s, 5s and 5p tables build down to the smallest supported wall."""
+    code = main(
+        [
+            "sweep",
+            "--states", "4,0;5,0;5,1",
+            "--r0-min", "0.05",
+            "--r0-max", "1",
+            "--points", "2",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    rows = parse_csv(str(tmp_path / "sweep.csv"))
+    assert len(rows) == 6
+    assert all(row.error is None for row in rows)
+    assert "sweep: 6 rows (0 failed)" in capsys.readouterr().out
+
+
 def test_sweep_flags_override_config(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("points=3\nr0_min=1.0\nr0_max=4.0\nstates=1,0\n")

@@ -13,14 +13,15 @@ from hydrodisc import confined
 from hydrodisc.confined import (
     MIN_WALL_RADIUS,
     ConvergenceError,
-    RadialGrid,
     energy_functional,
     node_coefficients,
+    radial_rule,
     solve,
     trial_radial_wf,
 )
 from hydrodisc.fd_eigensolver import oracle_energy
 from hydrodisc.free_atom import StateLabel, free_energy, table1_states
+from hydrodisc.specfun import gauss_legendre
 
 STATES = tuple(table1_states())
 
@@ -39,9 +40,9 @@ def test_wavefunction_vanishes_at_wall(solved_r2):
 
 def test_wavefunction_is_normalized(solved_r2):
     for cs in solved_r2.values():
-        grid = cs.grid()
-        v, _ = cs.radial(grid.nodes)
-        assert abs(np.sum(grid.weights * v * v * grid.nodes) - 1.0) < 1e-12
+        r, w = cs.grid()
+        v, _ = cs.radial(r)
+        assert abs(np.sum(w * v * v * r) - 1.0) < 1e-12
 
 
 def test_radial_derivative_matches_fd(solved_r2):
@@ -91,10 +92,10 @@ def test_node_overlap_with_ground_state_is_small():
     """The 2s trial is nearly, though not exactly, orthogonal to the 1s."""
     cs1 = solve(StateLabel(1, 0), 3.0)
     cs2 = solve(StateLabel(2, 0), 3.0)
-    grid = cs1.grid()
-    v1, _ = cs1.radial(grid.nodes)
-    v2, _ = cs2.radial(grid.nodes)
-    assert abs(np.sum(grid.weights * v1 * v2 * grid.nodes)) < 0.05
+    r, w = cs1.grid()
+    v1, _ = cs1.radial(r)
+    v2, _ = cs2.radial(r)
+    assert abs(np.sum(w * v1 * v2 * r)) < 0.05
 
 
 def test_node_count_of_2s():
@@ -111,8 +112,7 @@ def test_curvature_term_never_raises_energy():
     """The augmented nodeless trial is at least as good as the bare one."""
     for st, r0 in ((StateLabel(1, 0), 5.0), (StateLabel(3, 2), 8.0)):
         cs = solve(st, r0)
-        grid = RadialGrid.for_wall(r0)
-        e_bare = energy_functional(st, r0, cs.alpha, grid, ())
+        e_bare = energy_functional(st, r0, cs.alpha, radial_rule(r0), ())
         assert cs.energy <= e_bare + 1e-12
 
 
@@ -126,19 +126,23 @@ def test_alpha_tracks_first_order_wall_tilt():
 
 def test_energy_minimum_is_locally_flat(solved_r2):
     for cs in solved_r2.values():
-        grid = cs.grid()
-        e0 = energy_functional(cs.state, cs.r0, cs.alpha, grid, cs.node_coeffs)
+        rule = cs.grid()
+        e0 = energy_functional(cs.state, cs.r0, cs.alpha, rule, cs.node_coeffs)
         for delta in (-0.02, 0.02):
             e1 = energy_functional(
-                cs.state, cs.r0, cs.alpha * (1 + delta), grid, cs.node_coeffs
+                cs.state, cs.r0, cs.alpha * (1 + delta), rule, cs.node_coeffs
             )
             assert e1 >= e0 - 1e-10
 
 
 def test_quadrature_order_is_converged():
-    e200 = solve(StateLabel(2, 0), 2.0, order=200).energy
-    e400 = solve(StateLabel(2, 0), 2.0, order=400).energy
-    assert abs(e200 - e400) < 1e-9
+    """The solved energy holds on a rule of twice the radial order."""
+    for r0 in (0.05, 0.5, 2.0, 40.0):
+        rule = gauss_legendre(400).mapped(0.0, r0)
+        for st in STATES:
+            cs = solve(st, r0)
+            e400 = energy_functional(st, r0, cs.alpha, rule, cs.node_coeffs)
+            assert e400 == pytest.approx(cs.energy, rel=1e-9, abs=0.0)
 
 
 def test_free_limit_energy():
@@ -166,9 +170,9 @@ def test_validation_errors():
 def test_negative_alpha_is_an_upper_bound():
     """An envelope growing toward the wall is still a valid trial."""
     st, r0, alpha = StateLabel(2, 1), 0.5, -0.6
-    grid = RadialGrid.for_wall(r0)
-    _, coeffs = node_coefficients(st, r0, alpha, grid)
-    energy = energy_functional(st, r0, alpha, grid, coeffs)
+    rule = radial_rule(r0)
+    _, coeffs = node_coefficients(st, r0, alpha, rule)
+    energy = energy_functional(st, r0, alpha, rule, coeffs)
     assert math.isfinite(energy)
     assert energy >= oracle_energy(st, r0) - 1e-9
 
@@ -179,11 +183,11 @@ def _dense_scan_minimum(st, r0):
     A 161-sample signed scan over a wider range than solve's, with the
     energy from energy_functional, and every local minimum polished.
     """
-    grid = RadialGrid.for_wall(r0)
+    rule = radial_rule(r0)
 
     def energy_at(alpha):
-        _, coeffs = node_coefficients(st, r0, alpha, grid)
-        return energy_functional(st, r0, alpha, grid, coeffs)
+        _, coeffs = node_coefficients(st, r0, alpha, rule)
+        return energy_functional(st, r0, alpha, rule, coeffs)
 
     alphas = np.linspace(-12.0 / r0, 24.0 / min(r0, st.eta), 161)
     energies = [energy_at(a) for a in alphas]

@@ -104,7 +104,6 @@ def test_oscillatory_quadrature_oversampling(tables_r2):
     cs, tab = tables_r2["2s"]
     p = 25.0
     period = 2.0 * math.pi / p
-    grid = cs.grid()
 
     def transform(panel_width):
         n = max(2, int(math.ceil(cs.r0 / panel_width)))

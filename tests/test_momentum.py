@@ -11,7 +11,7 @@ from hydrodisc import momentum
 from hydrodisc.confined import coulomb_expectation, solve
 from hydrodisc.free_atom import StateLabel, table1_states
 from hydrodisc.momentum import P_MIN, AccuracyError, build_table, hankel_transform
-from hydrodisc.specfun import composite_gauss
+from hydrodisc.specfun import bessel_j, composite_gauss
 
 STATES = tuple(table1_states())
 
@@ -100,25 +100,55 @@ def test_kinetic_energy_consistency(tables_r2):
 
 
 def test_oscillatory_quadrature_oversampling(tables_r2):
-    """Quarter-period panels agree with half-period panels at 1e-8."""
+    """Quarter-period panels agree with half-period panels to 1e-13 of max|H|."""
     cs, tab = tables_r2["2s"]
     p = 25.0
     period = 2.0 * math.pi / p
+    tol = 1e-13 * np.max(np.abs(tab.phi))
 
     def transform(panel_width):
         n = max(2, int(math.ceil(cs.r0 / panel_width)))
-        edges = np.linspace(0.0, cs.r0, n + 1)
-        r, w = composite_gauss(edges, 12)
+        r, w = composite_gauss(np.linspace(0.0, cs.r0, n + 1), 12)
         v, _ = cs.radial(r)
-        from hydrodisc.specfun import bessel_j
-
         return float(np.sum(w * v * bessel_j(cs.state.l, p * r) * r))
 
     coarse = transform(0.5 * period)
     fine = transform(0.25 * period)
-    assert abs(coarse - fine) < 1e-8
+    assert abs(coarse - fine) < tol
     v = hankel_transform(cs, np.array([p]))
-    assert abs(v[0] - fine) < 1e-8
+    assert abs(v[0] - fine) < tol
+
+
+@pytest.mark.parametrize("r0", [0.05, 2.0, 40.0])
+@pytest.mark.parametrize("state", [StateLabel(2, 0), StateLabel(4, 3)], ids=["2s", "4f"])
+def test_transform_against_refined_panels(state, r0):
+    """On its table grid the transform matches 4 times as many r-panels to 1e-13 of max|H|.
+
+    4f (m = 3) takes scipy's jv kernel; 2s has a node and the m = 0 cusp.
+    The reference keeps the 32-node rule and splits every panel of
+    _panel_count in four, per momentum.
+    """
+    cs = solve(state, r0)
+    tab = build_table(cs)
+    p = tab.p_grid[:: max(1, tab.p_grid.size // 200)]
+    kappa = math.sqrt(max(-2.0 * cs.energy, 0.0))
+    counts = 4 * momentum._panel_count(r0, kappa, p)
+    ref = np.empty_like(p)
+    for i, (pi, count) in enumerate(zip(p, counts)):
+        r, w = composite_gauss(np.linspace(0.0, r0, count + 1), momentum._R_ORDER)
+        ref[i] = np.sum(w * cs.radial(r)[0] * r * bessel_j(cs.state.l, pi * r))
+    got = hankel_transform(cs, p)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(tab.phi))
+
+
+def test_panel_count_rule():
+    """Smallest power of two >= max(4, p r0/(16 pi), kappa r0/40); p = 0 gets the floor."""
+    r0 = 10.0
+    bound = 16.0 * math.pi / r0  # momentum at which p r0/(16 pi) = 1
+    p = np.array([0.0, 3.9 * bound, 4.0 * bound, 4.01 * bound, 100.0 * bound])
+    assert momentum._panel_count(r0, 0.0, p).tolist() == [4, 4, 4, 8, 128]
+    # the decay floor: kappa r0/40 = 20 rounds up to 32
+    assert momentum._panel_count(r0, 80.0, p).tolist() == [32, 32, 32, 32, 128]
 
 
 def test_free_ground_state_density_shape():
@@ -174,6 +204,38 @@ def test_kronrod_check_failure_raises(tables_r2, monkeypatch):
         build_table(cs)
     # 12 Gauss plus 13 Kronrod momenta per panel, on the grid and on each bisection of it
     assert sum(seen) == 25 * panels * sum(2**k for k in range(momentum._MAX_DOUBLINGS + 1))
+
+
+@dataclasses.dataclass(frozen=True)
+class _UniformDisc:
+    """Duck-typed state: R = 2^(1/2)/a on r < a = r0/2, zero beyond.
+
+    H(p) = 2^(1/2) J_1(pa)/p falls off like p^(-3/2), slower than the
+    p^(-5/2) wall and p^(-3) origin terms of the tail model, so the norm
+    beyond p_max stays near 2/(pi a p_max) and no octave settles it.
+    """
+
+    state: StateLabel = StateLabel(1, 0)
+    r0: float = 2.0
+    energy: float = -0.5
+
+    def radial(self, r):
+        a = 0.5 * self.r0
+        r = np.asarray(r, dtype=float)
+        return np.where(r < a, math.sqrt(2.0) / a, 0.0), np.zeros_like(r)
+
+    def wall_slope(self):
+        return 0.0
+
+
+def test_slow_tail_reaches_the_momentum_cap():
+    """A tail the model does not describe raises AccuracyError at the p_max cap."""
+    disc = _UniformDisc()
+    p = np.array([0.5, 3.0])
+    # the jump sits on a panel edge, so the transform itself is exact
+    assert_allclose(hankel_transform(disc, p), math.sqrt(2.0) * bessel_j(1, p) / p, rtol=1e-13)
+    with pytest.raises(AccuracyError, match="reached the cap"):
+        build_table(disc)
 
 
 @pytest.mark.parametrize("r0", [2.0, 8.0])
@@ -246,7 +308,7 @@ def test_wide_wall_moments_against_capped_reference(label, r0):
         assert tab.moment(k) == pytest.approx(ref.moment(k), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("r0", [20.0, 40.0])
+@pytest.mark.parametrize("r0", [20.0, 40.0, 80.0, 240.0])
 def test_wide_wall_transform_against_closed_form(r0):
     """1s amplitudes on the whole table grid match the closed form, no Bessel quadrature.
 

@@ -32,12 +32,12 @@ below p_wall: beyond it the wall term's norm W(p) = r0 R'(r0)^2/(3 pi p^3)
 is so small that, by Cauchy-Schwarz against Int H^2 p dp = 1, leaving it
 unresolved moves the norm by at most 2 W^(1/2) + W <= _WALL_TOLERANCE
 (see _p_edges).  Tight walls keep the cap throughout; wide walls, whose
-R'(r0) vanishes to rounding, keep it nowhere.  The grid is extended
-adaptively until the tail criteria on the tabulated moments hold.  The
-moments of the final 12-point Gauss panels are then checked against their
-25-point Gauss-Kronrod extension, which transforms only the 13 added nodes
-per panel; the table stores the Kronrod values, so every momentum is
-transformed once.
+R'(r0) vanishes to rounding, keep it nowhere.  The grid of 25-point
+Gauss-Kronrod panels is extended an octave at a time, each octave
+transformed once at all its nodes, until the tail criteria on the tabulated
+moments hold.  The Kronrod moments are then checked once against those of
+the embedded 12-point Gauss rule, read from the Kronrod rule's odd nodes;
+the table stores the Kronrod values, so every momentum is transformed once.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
@@ -74,7 +74,6 @@ _P_ORDER = 12  # Gauss-Legendre order per momentum panel (Kronrod-extended to 25
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
 _DOUBLING_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
 _TAIL_TOLERANCE = 1e-6  # estimated norm beyond p_max accepted
-_MAX_DOUBLINGS = 3  # panel bisections allowed when the Kronrod check fails
 _WALL_TOLERANCE = 1e-12  # norm change allowed from the wall term left unresolved beyond p_wall
 
 
@@ -120,7 +119,7 @@ def hankel_transform(cs: ConfinedState, p) -> np.ndarray:
         radial, _ = cs.radial(r)
         wrr = w * radial * r
         # chunk the (p, r) kernel matrix to keep peak memory bounded
-        rows = max(1, int(4e6) // r.size)
+        rows = max(1, int(2.5e5) // r.size)
         for lo in range(0, idx.size, rows):
             sel = idx[lo : lo + rows]
             value[sel] = bessel_j(m, p[sel, None] * r[None, :]) @ wrr
@@ -208,24 +207,23 @@ def _p_edges(r0: float, lo: float, hi: float, p_wall: float) -> np.ndarray:
 def build_table(cs: ConfinedState) -> RadialMomentumTable:
     """Tabulate the momentum amplitude on an adaptive grid with verified moments.
 
-    The grid of 12-point Gauss panels is extended octave by octave (up to a
-    2^10/eta cap, raised by 1/r0 inside sub-unit walls where the momentum
-    content scales with the confinement, and to 4 p_tail where the wall
-    term's tail mass r0 R'(r0)^2/(3 pi p_tail^3) = _TAIL_TOLERANCE lies
-    beyond it, as in tight walls of n >= 4 states) until the tail-corrected
-    moments the measures read from the table are stable from one octave to
-    the next and the estimated tail mass is below _TAIL_TOLERANCE.  Those
-    moments are Int H^2 p^(k+1) dp for k = 0 (the norm) and k = 1 (<p>).
-    The k = 2 moment stays available but does not drive p_max: the measures
-    take <p^2> from position space.
+    The grid of 25-point Gauss-Kronrod panels is extended octave by octave
+    from 20/eta (up to a 2^10/eta cap, raised by 1/r0 inside sub-unit walls
+    where the momentum content scales with the confinement, and to 4 p_tail
+    where the wall term's tail mass W(p) = r0 R'(r0)^2/(3 pi p^3) falls to
+    _TAIL_TOLERANCE at a p_tail beyond that cap, as in tight walls of
+    n >= 4 states) until the tail-corrected moments the measures read from
+    the table are stable from one octave to the next and the estimated tail
+    mass is below _TAIL_TOLERANCE.  Those moments are Int H^2 p^(k+1) dp
+    for k = 0 (the norm) and k = 1 (<p>).  The k = 2 moment stays available
+    but does not drive p_max: the measures take <p^2> from position space.
+    Each octave's panels are transformed once, at all their Kronrod nodes.
 
-    The final panels are then verified by their Gauss-Kronrod extension:
-    the 13 Kronrod nodes per panel are transformed, the 12 Gauss values are
-    reused, and the Gauss moments must agree with the 25-point Kronrod
-    moments to _DOUBLING_TOLERANCE.  As in QUADPACK the difference is the
-    error estimate of the Gauss rule and the table stores the more accurate
-    Kronrod values.  A failed check bisects the panels and repeats, up to
-    _MAX_DOUBLINGS times, before raising AccuracyError.
+    The final panels are then checked once: the moments of the 12-point
+    Gauss rule, read from the Kronrod rule's odd nodes, must agree with the
+    25-point Kronrod moments to _DOUBLING_TOLERANCE, or AccuracyError is
+    raised.  As in QUADPACK the difference is the error estimate of the
+    Gauss rule and the table stores the more accurate Kronrod values.
     """
     eta = cs.state.eta
     r0 = cs.r0
@@ -236,24 +234,31 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     d_at = cs.radial(np.array([r0 - h, r0]))[1]
     curvature = float((d_at[1] - d_at[0]) / h)
     origin = -float(cs.radial(np.array([0.0]))[1][0]) if m == 0 else 0.0
-    # beyond p_wall the unresolved wall term moves the norm by <= _WALL_TOLERANCE (see _p_edges)
-    p_wall = (4.0 * r0 * slope**2 / (3.0 * math.pi * _WALL_TOLERANCE**2)) ** (1.0 / 3.0)
+    kronrod = gauss_kronrod(_P_ORDER)
+
+    def wall_reach(mass):
+        """The p at which the wall term's norm beyond p, W(p) = r0 R'(r0)^2/(3 pi p^3), is mass."""
+        return (r0 * slope**2 / (3.0 * math.pi * mass)) ** (1.0 / 3.0)
+
+    def panels(edges):
+        """Kronrod nodes, weights and H on the panels between edges, as (panels, 25) arrays."""
+        p, w = composite_rule(edges, kronrod)
+        shape = (-1, kronrod.order)
+        return p.reshape(shape), w.reshape(shape), hankel_transform(cs, p).reshape(shape)
 
     def tabulate(p, w, phi, p_max):
-        table = RadialMomentumTable(cs.state, r0, p, phi, w, p_max, slope, curvature, origin)
+        table = RadialMomentumTable(
+            cs.state, r0, p.ravel(), phi.ravel(), w.ravel(), p_max, slope, curvature, origin
+        )
         return table, np.array([table.moment(0), table.moment(1)])
 
-    p_tail = (r0 * slope**2 / (3.0 * math.pi * _TAIL_TOLERANCE)) ** (1.0 / 3.0)
-    p_cap = max(2.0**10 / (eta * min(1.0, r0)), 4.0 * p_tail)
+    # beyond p_wall the unresolved wall term moves the norm by <= _WALL_TOLERANCE (see _p_edges)
+    p_wall = wall_reach(0.25 * _WALL_TOLERANCE**2)
+    p_cap = max(2.0**10 / (eta * min(1.0, r0)), 4.0 * wall_reach(_TAIL_TOLERANCE))
     # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
-    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 40.0 / eta, p_wall)])
-    p, w = composite_gauss(edges, _P_ORDER)
-    phi = hankel_transform(cs, p)
-
-    # first stability probe is free: truncate the initial grid near half range
-    half = max(int(np.searchsorted(edges, 0.5 * edges[-1], side="right")) - 1, 1)
-    n_half = half * _P_ORDER
-    _, previous = tabulate(p[:n_half], w[:n_half], phi[:n_half], float(edges[half]))
+    edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 20.0 / eta, p_wall)])
+    p, w, phi = panels(edges)
+    previous = np.inf  # so the first octave only extends the grid
     while True:
         table, totals = tabulate(p, w, phi, float(edges[-1]))
         tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
@@ -270,38 +275,21 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
             )
         previous = totals
         new_edges = _p_edges(r0, table.p_max, min(2.0 * table.p_max, p_cap), p_wall)
-        p_new, w_new = composite_gauss(new_edges, _P_ORDER)
+        p_new, w_new, phi_new = panels(new_edges)
         edges = np.concatenate([edges, new_edges[1:]])
         p = np.concatenate([p, p_new])
         w = np.concatenate([w, w_new])
-        phi = np.concatenate([phi, hankel_transform(cs, p_new)])
+        phi = np.concatenate([phi, phi_new])
 
-    p_max = table.p_max
-    kronrod = gauss_kronrod(_P_ORDER)
-    for bisection in range(_MAX_DOUBLINGS + 1):
-        if bisection:
-            edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-            p, w = composite_gauss(edges, _P_ORDER)
-            phi = hankel_transform(cs, p)
-            _, totals = tabulate(p, w, phi, p_max)
-        panels = edges.size - 1
-        pk, wk = composite_rule(edges, kronrod)
-        pk = pk.reshape(panels, kronrod.order)
-        phik = np.empty_like(pk)
-        # the Kronrod rule's odd nodes are the Gauss nodes, bit for bit
-        phik[:, 1::2] = phi.reshape(panels, _P_ORDER)
-        phik[:, 0::2] = hankel_transform(cs, pk[:, 0::2].ravel()).reshape(panels, -1)
-        table, refined = tabulate(pk.ravel(), wk, phik.ravel(), p_max)
-        change = np.abs(refined - totals) / np.maximum(np.abs(refined), 1e-30)
-        if np.all(change < _DOUBLING_TOLERANCE):
-            break
-    else:
+    # the Kronrod rule's odd nodes are the Gauss nodes, bit for bit
+    _, w_gauss = composite_gauss(edges, _P_ORDER)
+    _, gauss = tabulate(p[:, 1::2], w_gauss, phi[:, 1::2], table.p_max)
+    change = np.abs(totals - gauss) / np.maximum(np.abs(totals), 1e-30)
+    if not np.all(change < _DOUBLING_TOLERANCE):
         raise AccuracyError(
             f"momentum grid failed the Gauss-Kronrod check for {cs.state.label} at "
-            f"r0={r0} after {_MAX_DOUBLINGS} panel bisections: last relative "
-            f"Gauss-Kronrod differences {change}"
+            f"r0={r0}: relative Gauss-Kronrod differences {change}"
         )
-
     for arr in (table.p_grid, table.phi, table.p_weights):
         arr.setflags(write=False)
     return table

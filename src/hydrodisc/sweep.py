@@ -81,6 +81,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.states:
             raise ValueError("states list must not be empty")
+        if len(set(self.states)) != len(self.states):
+            raise ValueError(f"states list repeats a state: {self.states}")
         for n, m in self.states:
             if not (0 <= m <= n - 1):
                 raise ValueError(f"state ({n},{m}) violates 0 <= m <= n-1")
@@ -202,19 +204,15 @@ def evaluate_point(n: int, m: int, r0: float) -> SweepRow:
     return row
 
 
-def _evaluate_task(task: tuple[int, int, float]) -> SweepRow:
-    return evaluate_point(*task)
-
-
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     """All sweep rows, sorted by (n, m, r0), failures isolated per row."""
     r_values = radii(cfg)
     tasks = [(n, m, float(r0)) for n, m in sorted(cfg.states) for r0 in r_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_task, tasks))
+            rows = list(pool.map(evaluate_point, *zip(*tasks)))
     else:
-        rows = [_evaluate_task(t) for t in tasks]
+        rows = list(map(evaluate_point, *zip(*tasks)))
     return sorted(rows, key=lambda row: row.key)
 
 
@@ -360,7 +358,7 @@ def config_from(
         "points": int,
         "spacing": str,
         "output_path": str,
-        "emit_plot_data": lambda s: _parse_bool(s),
+        "emit_plot_data": _parse_bool,
     }
     for key, raw in (file_values or {}).items():
         if key not in converters:

@@ -113,7 +113,7 @@ def test_default_grid_tables_are_built_once(battery):
 
 
 def test_every_table_transforms_each_momentum_once(battery):
-    """The Gauss-Kronrod check reuses the Gauss values at every point the battery builds."""
+    """Every table the battery builds transforms each of its stored momenta once."""
     _, builds, (transformed, sizes) = battery
     assert len(sizes) == len(builds) >= 160
     assert {key: n for key, n in transformed.items() if n != sizes[key]} == {}

@@ -102,6 +102,14 @@ def test_bad_state_string_is_usage_error(capsys):
     assert "bad state" in capsys.readouterr().err
 
 
+def test_repeated_state_is_usage_error(tmp_path, capsys):
+    code = main(["sweep", "--states", "1,0;1,0", "--points", "2", "--r0-min", "1",
+                 "--r0-max", "2", "--out", str(tmp_path / "run")])
+    assert code == EXIT_USAGE
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_is_io_error(capsys):
     code = main(["sweep", "--config", "/nonexistent/sweep.cfg"])
     assert code == EXIT_IO

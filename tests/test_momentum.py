@@ -183,7 +183,7 @@ def _count_transformed(monkeypatch):
 
 
 def test_each_momentum_transformed_once(tables_r2, monkeypatch):
-    """The Kronrod check reuses the Gauss values: one transform per stored momentum."""
+    """Every octave is transformed at its Kronrod nodes, once: one transform per stored momentum."""
     states = [cs for cs, _ in tables_r2.values()]
     states += [solve(next(s for s in STATES if s.label == label), 16.0) for label in ("1s", "3d")]
     seen = _count_transformed(monkeypatch)
@@ -195,15 +195,25 @@ def test_each_momentum_transformed_once(tables_r2, monkeypatch):
 
 
 def test_kronrod_check_failure_raises(tables_r2, monkeypatch):
-    """A check nothing passes bisects the panels _MAX_DOUBLINGS times, then raises."""
+    """A Gauss-Kronrod check nothing passes raises in the one pass, with no retransform."""
     cs, tab = tables_r2["1s"]
-    panels = tab.p_grid.size // 25
     monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 0.0)
     seen = _count_transformed(monkeypatch)
     with pytest.raises(AccuracyError, match="Gauss-Kronrod"):
         build_table(cs)
-    # 12 Gauss plus 13 Kronrod momenta per panel, on the grid and on each bisection of it
-    assert sum(seen) == 25 * panels * sum(2**k for k in range(momentum._MAX_DOUBLINGS + 1))
+    assert sum(seen) == tab.p_grid.size
+
+
+def test_kernel_chunks_match_single_momenta(tables_r2):
+    """A group spanning several kernel chunks matches the momenta transformed one at a time."""
+    cs, _ = tables_r2["3d"]
+    # 4000 momenta on the 4-panel floor, 128 r-nodes each: chunks of 2.5e5 // 128 = 1953 rows
+    # split the one group in three (1953, 1953, 94)
+    p = np.linspace(0.01, 1.0, 4000)
+    kappa = math.sqrt(max(-2.0 * cs.energy, 0.0))
+    assert np.unique(momentum._panel_count(cs.r0, kappa, p)).tolist() == [4]
+    single = np.array([hankel_transform(cs, p[i : i + 1])[0] for i in range(p.size)])
+    assert_allclose(hankel_transform(cs, p), single, rtol=1e-15)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -242,6 +242,8 @@ def test_config_validation():
         SweepConfig(states=())
     with pytest.raises(ValueError, match="violates"):
         SweepConfig(states=((2, 2),))
+    with pytest.raises(ValueError, match="repeats"):
+        SweepConfig(states=((1, 0), (2, 1), (1, 0)))
     with pytest.raises(ValueError, match="r0_min"):
         SweepConfig(r0_min=5.0, r0_max=2.0)
     with pytest.raises(ValueError, match="points"):

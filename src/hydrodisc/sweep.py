@@ -14,6 +14,7 @@ give byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -46,7 +47,7 @@ __all__ = [
     "config_echo",
 ]
 
-DEFAULT_STATES = ((1, 0), (2, 0), (2, 1), (3, 2))
+DEFAULT_STATES = tuple((st.n, st.m) for st in table1_states())
 
 CSV_HEADER = (
     "n,m,r0,alpha_opt,energy,v_pos,f_pos,cr_pos,"
@@ -86,9 +87,9 @@ class SweepConfig:
         for n, m in self.states:
             if not (0 <= m <= n - 1):
                 raise ValueError(f"state ({n},{m}) violates 0 <= m <= n-1")
-        if not (MIN_WALL_RADIUS <= self.r0_min < self.r0_max):
+        if not (MIN_WALL_RADIUS <= self.r0_min < self.r0_max < math.inf):
             raise ValueError(
-                f"need {MIN_WALL_RADIUS} <= r0_min < r0_max, "
+                f"need {MIN_WALL_RADIUS} <= r0_min < r0_max < inf, "
                 f"got [{self.r0_min}, {self.r0_max}]"
             )
         if self.points < 2:

@@ -110,6 +110,32 @@ def test_repeated_state_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_wall_radius_is_usage_error(tmp_path, capsys, source):
+    out = tmp_path / "run"
+    if source == "flag":
+        argv = ["sweep", "--r0-max", "inf", "--out", str(out)]
+    else:
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"r0_max=inf\noutput_path={out}\n")
+        argv = ["sweep", "--config", str(cfg)]
+    assert main(argv) == EXIT_USAGE
+    assert "r0_max < inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wide_wall_failure_is_isolated(tmp_path, capsys):
+    """r0 = 5000 ends on the scan edge and r0 = 1e4 fails the Ritz solve; both rows are written."""
+    out = tmp_path / "run"
+    code = main(["sweep", "--states", "1,0", "--r0-min", "5000", "--r0-max", "10000",
+                 "--points", "2", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    rows = parse_csv(str(out / "sweep.csv"))
+    assert [row.r0 for row in rows] == [5000.0, 10000.0]
+    assert all(row.error.startswith("solve:") for row in rows)
+    assert "Ritz solve failed for 1s at r0=10000.0" in rows[1].error
+
+
 def test_missing_config_is_io_error(capsys):
     code = main(["sweep", "--config", "/nonexistent/sweep.cfg"])
     assert code == EXIT_IO

@@ -17,7 +17,6 @@ from hydrodisc.confined import (
     node_coefficients,
     radial_rule,
     solve,
-    trial_radial_wf,
 )
 from hydrodisc.fd_eigensolver import oracle_energy
 from hydrodisc.free_atom import StateLabel, free_energy, table1_states
@@ -43,6 +42,18 @@ def test_wavefunction_is_normalized(solved_r2):
         r, w = cs.grid()
         v, _ = cs.radial(r)
         assert abs(np.sum(w * v * v * r) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("r0", [0.05, 2.0, 40.0])
+def test_weights_give_a_unit_norm_trial_positive_at_the_origin(r0):
+    """The stored Ritz weights are normalized on the grid and signed so R > 0 near r = 0."""
+    for st in STATES:
+        cs = solve(st, r0)
+        r, w = cs.grid()
+        v, _ = cs.radial(r)
+        assert abs(np.sum(w * v * v * r) - 1.0) < 1e-12
+        near, _ = cs.radial(np.array([1e-3 * r0]))
+        assert near[0] > 0.0
 
 
 def test_radial_derivative_matches_fd(solved_r2):
@@ -112,7 +123,7 @@ def test_curvature_term_never_raises_energy():
     """The augmented nodeless trial is at least as good as the bare one."""
     for st, r0 in ((StateLabel(1, 0), 5.0), (StateLabel(3, 2), 8.0)):
         cs = solve(st, r0)
-        e_bare = energy_functional(st, r0, cs.alpha, radial_rule(r0), ())
+        e_bare = energy_functional(st, r0, cs.alpha, radial_rule(r0), (1.0, 0.0))
         assert cs.energy <= e_bare + 1e-12
 
 
@@ -127,10 +138,10 @@ def test_alpha_tracks_first_order_wall_tilt():
 def test_energy_minimum_is_locally_flat(solved_r2):
     for cs in solved_r2.values():
         rule = cs.grid()
-        e0 = energy_functional(cs.state, cs.r0, cs.alpha, rule, cs.node_coeffs)
+        e0 = energy_functional(cs.state, cs.r0, cs.alpha, rule, cs.weights)
         for delta in (-0.02, 0.02):
             e1 = energy_functional(
-                cs.state, cs.r0, cs.alpha * (1 + delta), rule, cs.node_coeffs
+                cs.state, cs.r0, cs.alpha * (1 + delta), rule, cs.weights
             )
             assert e1 >= e0 - 1e-10
 
@@ -141,7 +152,7 @@ def test_quadrature_order_is_converged():
         rule = gauss_legendre(400).mapped(0.0, r0)
         for st in STATES:
             cs = solve(st, r0)
-            e400 = energy_functional(st, r0, cs.alpha, rule, cs.node_coeffs)
+            e400 = energy_functional(st, r0, cs.alpha, rule, cs.weights)
             assert e400 == pytest.approx(cs.energy, rel=1e-9, abs=0.0)
 
 
@@ -162,17 +173,23 @@ def test_wall_slope_matches_fd():
 def test_validation_errors():
     with pytest.raises(ValueError):
         solve(StateLabel(1, 0), 0.5 * MIN_WALL_RADIUS)
-    with pytest.raises(ValueError):
-        trial_radial_wf(StateLabel(2, 0), 2.0, 1.0, np.array([1.0]))  # needs a node
+    with pytest.raises(ValueError, match="3 Ritz weights"):
+        energy_functional(StateLabel(2, 0), 2.0, 1.0, radial_rule(2.0), (1.0, 0.0))
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_singular_overlap_is_a_convergence_error():
+    """At r0 = 1e4 the 1s overlap matrix is not positive definite on the radial rule."""
+    with pytest.raises(ConvergenceError, match=r"Ritz solve failed for 1s at r0=10000\.0"):
+        solve(StateLabel(1, 0), 1e4)
 
 
 def test_negative_alpha_is_an_upper_bound():
     """An envelope growing toward the wall is still a valid trial."""
     st, r0, alpha = StateLabel(2, 1), 0.5, -0.6
     rule = radial_rule(r0)
-    _, coeffs = node_coefficients(st, r0, alpha, rule)
-    energy = energy_functional(st, r0, alpha, rule, coeffs)
+    _, weights = node_coefficients(st, r0, alpha, rule)
+    energy = energy_functional(st, r0, alpha, rule, weights)
     assert math.isfinite(energy)
     assert energy >= oracle_energy(st, r0) - 1e-9
 
@@ -186,8 +203,8 @@ def _dense_scan_minimum(st, r0):
     rule = radial_rule(r0)
 
     def energy_at(alpha):
-        _, coeffs = node_coefficients(st, r0, alpha, rule)
-        return energy_functional(st, r0, alpha, rule, coeffs)
+        _, weights = node_coefficients(st, r0, alpha, rule)
+        return energy_functional(st, r0, alpha, rule, weights)
 
     alphas = np.linspace(-12.0 / r0, 24.0 / min(r0, st.eta), 161)
     energies = [energy_at(a) for a in alphas]
@@ -215,7 +232,7 @@ def test_solve_finds_the_family_optimum(n, m, r0):
 def test_energy_is_the_rayleigh_quotient_of_the_state(solved_r2):
     """The Ritz eigenvalue solve reports equals the independent functional."""
     for cs in solved_r2.values():
-        e = energy_functional(cs.state, cs.r0, cs.alpha, cs.grid(), cs.node_coeffs)
+        e = energy_functional(cs.state, cs.r0, cs.alpha, cs.grid(), cs.weights)
         assert cs.energy == pytest.approx(e, rel=1e-12, abs=0.0)
 
 

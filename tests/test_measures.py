@@ -62,7 +62,7 @@ def test_confined_reports_are_consistent():
 
 def test_norm_tolerance_guards_position():
     cs = solve(StateLabel(1, 0), 2.0)
-    bad = dataclasses.replace(cs, norm_constant=cs.norm_constant * 1.01)
+    bad = dataclasses.replace(cs, weights=tuple(1.01 * u for u in cs.weights))
     with pytest.raises(AccuracyError):
         position_measures(bad)
 

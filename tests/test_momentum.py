@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hydrodisc import momentum
-from hydrodisc.confined import coulomb_expectation, solve
+from hydrodisc.confined import _ritz_powers, coulomb_expectation, solve
 from hydrodisc.free_atom import StateLabel, table1_states
 from hydrodisc.momentum import P_MIN, AccuracyError, build_table, hankel_transform
 from hydrodisc.specfun import bessel_j, composite_gauss
@@ -252,10 +252,10 @@ def test_slow_tail_reaches_the_momentum_cap():
 def test_order_two_transform_against_mpmath(r0):
     """3d amplitudes match 30-digit mpmath quadrature with mpmath's own J_2.
 
-    The trial R = N e^(-alpha r) r^2 (1 + Sum c_j r^j)(1 - r/r0) is rebuilt in
-    mpmath from the solved parameters, and the r-integral is split at every
-    period 2 pi/p, so neither bessel_j nor the r-panels of hankel_transform
-    enter the reference.
+    The trial R = e^(-alpha r) r^2 (Sum_j u_j r^j)(1 - r/r0) is rebuilt in
+    mpmath from the solved alpha, the Ritz powers j and the weights u, and the
+    r-integral is split at every period 2 pi/p, so neither ritz_basis,
+    bessel_j nor the r-panels of hankel_transform enter the reference.
     """
     import mpmath
 
@@ -263,10 +263,11 @@ def test_order_two_transform_against_mpmath(r0):
     tab = build_table(cs)
     ps = tab.p_max * np.array([0.01, 0.1, 0.3, 0.6, 1.0])
     got = hankel_transform(cs, ps)
+    terms = list(zip(_ritz_powers(cs.state.n_r), cs.weights))
 
     def radial(r):
-        poly = 1 + sum(c * r**j for j, c in enumerate(cs.node_coeffs, start=1))
-        return cs.norm_constant * mpmath.exp(-cs.alpha * r) * r**2 * poly * (1 - r / r0)
+        poly = sum(u * r**j for j, u in terms)
+        return mpmath.exp(-cs.alpha * r) * r**2 * poly * (1 - r / r0)
 
     with mpmath.workdps(30):
         for p, h in zip(ps, got):
@@ -322,28 +323,31 @@ def test_wide_wall_moments_against_capped_reference(label, r0):
 def test_wide_wall_transform_against_closed_form(r0):
     """1s amplitudes on the whole table grid match the closed form, no Bessel quadrature.
 
-    With R = N e^(-alpha r) r^m Sum b_j r^j, the integral over [0, inf) is
-    H = N (2p)^m Gamma(m+1/2)/sqrt(pi) Sum b_j (j+1)! rho^-(2m+2+j) C^(m+1/2)_(j+1)(alpha/rho),
+    With R = e^(-alpha r) r^m Sum b_j r^j, the integral over [0, inf) is
+    H = (2p)^m Gamma(m+1/2)/sqrt(pi) Sum b_j (j+1)! rho^-(2m+2+j) C^(m+1/2)_(j+1)(alpha/rho),
     rho = sqrt(alpha^2 + p^2) (Gradshteyn-Ryzhik 6.623.1 differentiated in
     alpha through the Gegenbauer generating function, DLMF 18.12.4).  The
-    [r0, inf) remainder is bounded by N Sum |b_j| Gamma(m+j+2, alpha r0)/alpha^(m+j+2).
+    b_j multiply the Ritz weights, placed at their powers, by the cut-off
+    1 - r/r0.  The [r0, inf) remainder is bounded by
+    Sum |b_j| Gamma(m+j+2, alpha r0)/alpha^(m+j+2).
     """
     from scipy.special import eval_gegenbauer, gamma, gammaincc
 
     cs = solve(StateLabel(1, 0), r0)
     m, alpha = cs.state.l, cs.alpha
-    b = np.polynomial.polynomial.polymul([1.0, *cs.node_coeffs], [1.0, -1.0 / r0])
+    powers = _ritz_powers(cs.state.n_r)
+    poly = np.zeros(max(powers) + 1)
+    poly[list(powers)] = cs.weights
+    b = np.polynomial.polynomial.polymul(poly, [1.0, -1.0 / r0])
     j = np.arange(b.size)
-    remainder = cs.norm_constant * np.sum(
+    remainder = np.sum(
         np.abs(b) * gammaincc(m + j + 2, alpha * r0) * gamma(m + j + 2) / alpha ** (m + j + 2)
     )
     tab = build_table(cs)
     p = tab.p_grid[:, None]
     rho = np.sqrt(alpha**2 + p**2)
     terms = b * gamma(j + 2) * rho ** -(2 * m + 2 + j) * eval_gegenbauer(j + 1, m + 0.5, alpha / rho)
-    closed = (
-        cs.norm_constant * (2 * tab.p_grid) ** m * gamma(m + 0.5) / math.sqrt(math.pi) * terms.sum(axis=1)
-    )
+    closed = (2 * tab.p_grid) ** m * gamma(m + 0.5) / math.sqrt(math.pi) * terms.sum(axis=1)
     scale = np.max(np.abs(closed))
     assert remainder < 1e-14 * scale
     assert np.max(np.abs(tab.phi - closed)) < 1e-12 * scale

@@ -1,6 +1,7 @@
 """Sweep orchestration, CSV/plot-file formats, and config merging."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,9 @@ def test_config_validation():
         SweepConfig(states=((1, 0), (2, 1), (1, 0)))
     with pytest.raises(ValueError, match="r0_min"):
         SweepConfig(r0_min=5.0, r0_max=2.0)
+    for lo, hi in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="< inf"):
+            SweepConfig(r0_min=lo, r0_max=hi)
     with pytest.raises(ValueError, match="points"):
         SweepConfig(points=1)
     with pytest.raises(ValueError, match="spacing"):

@@ -337,7 +337,7 @@ CRITERIA = [
     ("reference table closed forms", criterion_1),
     ("free-state quadrature oracles", criterion_2),
     ("free-limit convergence at r0=40", criterion_3),
-    ("variational upper bound vs grid oracle", criterion_4),
+    ("variational upper bound vs exact wall level", criterion_4),
     ("(2s;3d) energy inversion", criterion_5),
     ("Cramer-Rao ordering at r0=30", criterion_6),
     ("Cramer-Rao structural extrema", criterion_7),

@@ -19,6 +19,7 @@ import traceback
 from .confined import ConvergenceError
 from .momentum import AccuracyError
 from .sweep import (
+    SETTINGS,
     SweepConfig,
     config_echo,
     config_from,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int)
     sweep.add_argument("--spacing", choices=("log", "linear"))
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    sweep.add_argument("--out", help="output directory (default: current)")
+    sweep.add_argument("--out", dest="output_path", help="output directory (default: current)")
     sweep.add_argument(
         "--plot-data",
         action="store_const",
@@ -85,15 +86,8 @@ def _resolve_config(args: argparse.Namespace) -> SweepConfig:
     """Sweep configuration from --config and the flags; bad values are usage errors."""
     try:
         file_values = read_config_file(args.config) if args.config else None
-        flags: dict[str, object] = {
-            "states": parse_states(args.states) if args.states else None,
-            "r0_min": args.r0_min,
-            "r0_max": args.r0_max,
-            "points": args.points,
-            "spacing": args.spacing,
-            "output_path": args.out,
-            "emit_plot_data": args.emit_plot_data,
-        }
+        flags = {key: getattr(args, key) for key in SETTINGS}
+        flags["states"] = parse_states(args.states) if args.states else None
         return config_from(file_values, flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -25,7 +25,6 @@ from .specfun import gamma_fn, gegenbauer_orthonormal, orthonormal_laguerre
 __all__ = [
     "StateLabel",
     "FreeMeasures",
-    "MOMENTUM_FISHER_2S_NOTE",
     "free_energy",
     "position_mean",
     "position_second_moment",
@@ -43,14 +42,6 @@ __all__ = [
 ]
 
 _SPECTROSCOPIC = "spdfghiklmnoq"
-
-MOMENTUM_FISHER_2S_NOTE = (
-    "F[gamma](2s) = 58.5 exactly: the closed form 2*eta^2*(5*eta^2+1) for m=0 "
-    "equals 4<r^2> = 58.5 at eta = 3/2, and direct quadrature of 4*Int H'(p)^2 p dp "
-    "confirms it.  The value 58.2000 sometimes tabulated for this state (with the "
-    "complexity 16.8896 built from it) is a misprint."
-)
-
 
 @dataclass(frozen=True)
 class StateLabel:

@@ -5,9 +5,11 @@ position and momentum measures, and collects one row per point.  `evaluate`
 is the one (state, r0) pipeline: `evaluate_point` projects its result onto
 a row, and `hydrodisc verify` reads the whole result (solved state, table,
 both reports).  Numerical failures (non-converged solve, unmet quadrature
-accuracy) are isolated: the affected row keeps its identifying columns,
-carries nan in the numeric fields and an error marker in a trailing field,
-and the rest of the sweep proceeds.  Rows are sorted by (n, m, r0) and
+accuracy) are isolated: the affected row keeps its identifying columns and
+the numbers of every stage that finished (a momentum failure keeps
+alpha_opt, energy and the position columns), carries nan in the columns of
+the failed and later stages and an error marker in a trailing field, and
+the rest of the sweep proceeds.  Rows come in (n, m, r0) order and are
 printed in full-precision scientific notation so identical configurations
 give byte-identical files.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,28 +45,24 @@ __all__ = [
     "emit_plot_data",
     "read_config_file",
     "parse_states",
+    "SETTINGS",
     "config_from",
     "config_echo",
 ]
 
 DEFAULT_STATES = tuple((st.n, st.m) for st in table1_states())
 
-CSV_HEADER = (
-    "n,m,r0,alpha_opt,energy,v_pos,f_pos,cr_pos,"
-    "v_mom,f_mom,cr_mom,pos_norm_residual,mom_norm_residual"
-)
-
 TABLE1_HEADER = "state,v_pos,v_mom,f_pos,f_mom,cr_pos,cr_mom"
 
-# figN stem -> SweepRow attribute (fig6 is the Fisher uncertainty product)
-PLOT_QUANTITIES = (
-    ("fig1_E", "energy"),
-    ("fig2_Vpos", "v_pos"),
-    ("fig3_Vmom", "v_mom"),
-    ("fig4_CRpos", "cr_pos"),
-    ("fig5_CRmom", "cr_mom"),
-    ("fig6_FF", None),
-)
+# figN stem -> SweepRow attribute plotted against r0
+PLOT_QUANTITIES = {
+    "fig1_E": "energy",
+    "fig2_Vpos": "v_pos",
+    "fig3_Vmom": "v_mom",
+    "fig4_CRpos": "cr_pos",
+    "fig5_CRmom": "cr_mom",
+    "fig6_FF": "fisher_product",
+}
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,17 @@ class SweepRow:
     def key(self) -> tuple[int, int, float]:
         return (self.n, self.m, self.r0)
 
+    @property
+    def fisher_product(self) -> float | None:
+        """The Fisher uncertainty product F[rho]*F[gamma]."""
+        if self.f_pos is None or self.f_mom is None:
+            return None
+        return self.f_pos * self.f_mom
 
-_NUMERIC_FIELDS = [f.name for f in fields(SweepRow)][3:-1]
+
+# every SweepRow field but the trailing error marker is a CSV column
+_COLUMNS = [f.name for f in fields(SweepRow)][:-1]
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def radii(cfg: SweepConfig) -> np.ndarray:
@@ -181,40 +188,28 @@ def evaluate(state: StateLabel, r0: float) -> PointEvaluation:
 def evaluate_point(n: int, m: int, r0: float) -> SweepRow:
     """The sweep row of one (state, r0) point; a failed stage fills `error`."""
     ev = evaluate(StateLabel(n, m), r0)
-    row = SweepRow(n=n, m=m, r0=r0)
+    values: dict[str, float] = {}
     if ev.cs is not None:
-        row = replace(row, alpha_opt=ev.cs.alpha, energy=ev.cs.energy)
-    if ev.pos is not None:
-        row = replace(
-            row,
-            v_pos=ev.pos.variance,
-            f_pos=ev.pos.fisher,
-            cr_pos=ev.pos.cramer_rao,
-            pos_norm_residual=ev.pos.norm_residual,
-        )
-    if ev.mom is not None:
-        row = replace(
-            row,
-            v_mom=ev.mom.variance,
-            f_mom=ev.mom.fisher,
-            cr_mom=ev.mom.cramer_rao,
-            mom_norm_residual=ev.mom.norm_residual,
-        )
-    if ev.error is not None:
-        row = replace(row, error=_flatten_error(ev.error, ev.stage))
-    return row
+        values.update(alpha_opt=ev.cs.alpha, energy=ev.cs.energy)
+    for space, report in (("pos", ev.pos), ("mom", ev.mom)):
+        if report is not None:
+            values[f"v_{space}"] = report.variance
+            values[f"f_{space}"] = report.fisher
+            values[f"cr_{space}"] = report.cramer_rao
+            values[f"{space}_norm_residual"] = report.norm_residual
+    error = None if ev.error is None else _flatten_error(ev.error, ev.stage)
+    return SweepRow(n, m, r0, **values, error=error)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
-    """All sweep rows, sorted by (n, m, r0), failures isolated per row."""
+    """All sweep rows in (n, m, r0) order, failures isolated per row."""
     r_values = radii(cfg)
+    # radii ascend and both maps keep task order, so no sort is needed
     tasks = [(n, m, float(r0)) for n, m in sorted(cfg.states) for r0 in r_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(evaluate_point, *zip(*tasks)))
-    else:
-        rows = list(map(evaluate_point, *zip(*tasks)))
-    return sorted(rows, key=lambda row: row.key)
+            return list(pool.map(evaluate_point, *zip(*tasks)))
+    return list(map(evaluate_point, *zip(*tasks)))
 
 
 def _format_value(x: float | None) -> str:
@@ -228,7 +223,7 @@ def emit_csv(rows: list[SweepRow], path: str) -> None:
     lines = [CSV_HEADER]
     for row in rows:
         cells = [str(row.n), str(row.m), f"{row.r0:.17e}"]
-        cells += [_format_value(getattr(row, name)) for name in _NUMERIC_FIELDS]
+        cells += [_format_value(getattr(row, name)) for name in _COLUMNS[3:]]
         if row.error is not None:
             cells.append(row.error)
         lines.append(",".join(cells))
@@ -243,7 +238,7 @@ def parse_csv(path: str) -> list[SweepRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or mismatched sweep CSV header")
     rows = []
-    n_cols = len(CSV_HEADER.split(","))
+    n_cols = len(_COLUMNS)
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) not in (n_cols, n_cols + 1):
@@ -265,8 +260,8 @@ def table1_text() -> str:
     """The free-atom measure table with 4-decimal formatting.
 
     Every column is rounded independently from full-precision values, so
-    the products satisfy cr = f*v before rounding (see free_atom for the
-    F[gamma](2s) note).
+    the products satisfy cr = f*v before rounding (acceptance criterion 1
+    gives the F[gamma](2s) verdict).
     """
     lines = [TABLE1_HEADER]
     for st in table1_states():
@@ -287,23 +282,16 @@ def emit_plot_data(rows: list[SweepRow], directory: str) -> None:
     if not rows:
         raise ValueError("refusing to write plot data for an empty sweep")
     os.makedirs(directory, exist_ok=True)
-    states = sorted({(row.n, row.m) for row in rows})
-    for stem, attr in PLOT_QUANTITIES:
-        for n, m in states:
-            picked = [row for row in rows if (row.n, row.m) == (n, m)]
+    by_state: dict[tuple[int, int], list[SweepRow]] = {}
+    for row in rows:
+        by_state.setdefault((row.n, row.m), []).append(row)
+    for (n, m), picked in by_state.items():
+        for stem, attr in PLOT_QUANTITIES.items():
             lines = [f"# r0  {stem}  state n={n} m={m}"]
             for row in picked:
-                if attr is None:
-                    value = (
-                        None
-                        if row.f_pos is None or row.f_mom is None
-                        else row.f_pos * row.f_mom
-                    )
-                else:
-                    value = getattr(row, attr)
-                if value is None:
-                    continue
-                lines.append(f"{row.r0:.17e} {value:.17e}")
+                value = getattr(row, attr)
+                if value is not None:
+                    lines.append(f"{row.r0:.17e} {value:.17e}")
             name = os.path.join(directory, f"{stem}_n{n}m{m}.dat")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -347,35 +335,36 @@ def parse_states(text: str) -> tuple[tuple[int, int], ...]:
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def config_from(
-    file_values: dict[str, str] | None, flag_values: dict[str, object]
-) -> SweepConfig:
-    """Merge config-file values and CLI flag values; flags win."""
-    merged: dict[str, object] = {}
-    converters = {
-        "states": parse_states,
-        "r0_min": float,
-        "r0_max": float,
-        "points": int,
-        "spacing": str,
-        "output_path": str,
-        "emit_plot_data": _parse_bool,
-    }
-    for key, raw in (file_values or {}).items():
-        if key not in converters:
-            raise ValueError(f"unknown config key {key!r}")
-        merged[key] = converters[key](raw)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return SweepConfig(**merged)
-
-
 def _parse_bool(text: str) -> bool:
     try:
         return _BOOL_WORDS[text.strip().lower()]
     except KeyError:
         raise ValueError(f"expected a boolean word, got {text!r}") from None
+
+
+# SweepConfig field -> (parse its config-file text, render it back as text)
+SETTINGS = {
+    "states": (parse_states, lambda states: ";".join(f"{n},{m}" for n, m in states)),
+    "r0_min": (float, repr),
+    "r0_max": (float, repr),
+    "points": (int, str),
+    "spacing": (str, str),
+    "output_path": (str, str),
+    "emit_plot_data": (_parse_bool, lambda flag: "true" if flag else "false"),
+}
+
+
+def config_from(
+    file_values: dict[str, str] | None, flag_values: dict[str, object]
+) -> SweepConfig:
+    """Merge config-file values and CLI flag values; flags win."""
+    merged: dict[str, object] = {}
+    for key, raw in (file_values or {}).items():
+        if key not in SETTINGS:
+            raise ValueError(f"unknown config key {key!r}")
+        merged[key] = SETTINGS[key][0](raw)
+    merged.update((key, value) for key, value in flag_values.items() if value is not None)
+    return SweepConfig(**merged)
 
 
 def config_echo(cfg: SweepConfig, jobs: int) -> str:
@@ -384,14 +373,5 @@ def config_echo(cfg: SweepConfig, jobs: int) -> str:
     The text reads back through --config.  jobs does not change the output,
     so it is recorded as a comment.
     """
-    states = ";".join(f"{n},{m}" for n, m in cfg.states)
-    pairs = [
-        ("states", states),
-        ("r0_min", repr(cfg.r0_min)),
-        ("r0_max", repr(cfg.r0_max)),
-        ("points", str(cfg.points)),
-        ("spacing", cfg.spacing),
-        ("output_path", cfg.output_path),
-        ("emit_plot_data", "true" if cfg.emit_plot_data else "false"),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs) + f"# jobs={jobs}\n"
+    lines = [f"{key}={render(getattr(cfg, key))}\n" for key, (_, render) in SETTINGS.items()]
+    return "".join(lines) + f"# jobs={jobs}\n"

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from hydrodisc import momentum
+from hydrodisc import momentum, sweep
 from hydrodisc.sweep import (
     CSV_HEADER,
     DEFAULT_STATES,
+    SETTINGS,
     SweepConfig,
     SweepRow,
     config_echo,
@@ -114,6 +115,17 @@ def test_parallel_matches_serial(tiny_rows):
     assert rows == list(tiny_rows)
 
 
+def test_run_sweep_keeps_state_then_radius_order(monkeypatch):
+    """Rows come back in (n, m, r0) order with no sort after the map."""
+    monkeypatch.setattr(
+        sweep, "evaluate_point", lambda n, m, r0: SweepRow(n=n, m=m, r0=r0)
+    )
+    cfg = SweepConfig(states=((3, 2), (1, 0), (2, 1), (2, 0)), r0_min=1.0, r0_max=4.0, points=3)
+    rows = run_sweep(cfg)
+    keys = [row.key for row in rows]
+    assert keys == [(n, m, r0) for n, m in sorted(cfg.states) for r0 in radii(cfg)]
+
+
 def test_evaluate_point_isolates_accuracy_failure(monkeypatch):
     # a Gauss-Kronrod check nothing passes makes build_table raise AccuracyError
     monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 0.0)
@@ -169,25 +181,35 @@ def test_plot_data_files(tiny_rows, tmp_path):
 
 
 def test_plot_data_skips_failed_rows(tmp_path):
-    rows = [
-        SweepRow(n=1, m=0, r0=1.0, error="solve: nope"),
-        dataclasses.replace(
-            SweepRow(n=1, m=0, r0=2.0),
-            alpha_opt=1.0,
-            energy=-1.0,
-            v_pos=0.2,
-            f_pos=10.0,
-            cr_pos=2.0,
-            v_mom=1.0,
-            f_mom=2.0,
-            cr_mom=2.0,
-            pos_norm_residual=0.0,
-            mom_norm_residual=0.0,
-        ),
-    ]
+    good = dataclasses.replace(
+        SweepRow(n=1, m=0, r0=2.0),
+        alpha_opt=1.0,
+        energy=-1.0,
+        v_pos=0.2,
+        f_pos=10.0,
+        cr_pos=2.0,
+        v_mom=1.0,
+        f_mom=2.0,
+        cr_mom=2.0,
+        pos_norm_residual=0.0,
+        mom_norm_residual=0.0,
+    )
+    # a momentum failure keeps the solve and position numbers
+    momentum_failed = dataclasses.replace(
+        good, r0=3.0, v_mom=None, f_mom=None, cr_mom=None, mom_norm_residual=None,
+        error="momentum: tail tolerance unreachable",
+    )
+    rows = [SweepRow(n=1, m=0, r0=1.0, error="solve: nope"), good, momentum_failed]
     emit_plot_data(rows, str(tmp_path))
-    body = (tmp_path / "fig2_Vpos_n1m0.dat").read_text().splitlines()
-    assert len(body) == 2  # header plus the one good row
+
+    def plotted_radii(stem):
+        body = (tmp_path / f"{stem}_n1m0.dat").read_text().splitlines()
+        return [float(line.split()[0]) for line in body[1:]]
+
+    for stem in ("fig1_E", "fig2_Vpos", "fig4_CRpos"):
+        assert plotted_radii(stem) == [2.0, 3.0]
+    for stem in ("fig3_Vmom", "fig5_CRmom", "fig6_FF"):
+        assert plotted_radii(stem) == [2.0]
 
 
 def test_read_config_file(tmp_path):
@@ -257,8 +279,21 @@ def test_config_validation():
 
 
 def test_config_echo_round_trips_through_parser(tmp_path):
+    assert list(SETTINGS) == [f.name for f in dataclasses.fields(SweepConfig)]
     for output_path in ("/x/a#b", "/x/a #b"):
-        cfg = SweepConfig(points=7, spacing="linear", r0_min=0.75, output_path=output_path)
+        # every field differs from its default
+        cfg = SweepConfig(
+            states=((2, 1), (1, 0)),
+            r0_min=0.75,
+            r0_max=12.5,
+            points=7,
+            spacing="linear",
+            output_path=output_path,
+            emit_plot_data=True,
+        )
+        assert all(
+            getattr(cfg, f.name) != f.default for f in dataclasses.fields(SweepConfig)
+        )
         path = tmp_path / "echo.cfg"
         text = config_echo(cfg, jobs=3)
         path.write_text(text)

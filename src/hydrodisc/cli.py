@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r0-min", type=float, dest="r0_min")
     sweep.add_argument("--r0-max", type=float, dest="r0_max")
     sweep.add_argument("--points", type=int)
-    sweep.add_argument("--spacing", choices=("log", "linear"))
+    sweep.add_argument("--spacing")
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     sweep.add_argument("--out", dest="output_path", help="output directory (default: current)")
     sweep.add_argument(

@@ -36,7 +36,11 @@ trial that vanishes at the wall, so every alpha gives an upper bound, and
 in tight walls the optimum of some states (2p, 2s) has alpha < 0, an
 envelope growing toward the wall.  E(alpha) is sampled over one signed
 range and every interior local minimum of the samples is polished by
-bounded Brent search.
+bounded Brent search.  The samples come from one stacked Ritz solve over
+all scan alphas at once (_ritz_energies: batched Cholesky factors of the
+overlaps and eigenvalues of the reduced Hamiltonians); every Brent step
+and the final state use node_coefficients.  Both share one assembly of
+the matrix elements (_ritz_matrices).
 """
 
 from __future__ import annotations
@@ -97,15 +101,19 @@ def _ritz_powers(n_r: int) -> tuple[int, ...]:
 
 
 def ritz_basis(
-    state: StateLabel, r0: float, alpha: float, r: np.ndarray
+    state: StateLabel, r0: float, alpha: float | np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz basis r^j R_bare(r; alpha) and its radial derivative at 1-D r.
 
     One row per power j of _ritz_powers(n_r), with the bare trial
     R_bare = e^(-alpha r) r^|m| (1 - r/r0).  The derivative takes
-    j r^max(j-1, 0), so the j = 0 row stays finite at the origin.
+    j r^max(j-1, 0), so the j = 0 row stays finite at the origin.  A scalar
+    alpha gives (K, len(r)) arrays; a 1-D alpha adds a leading axis,
+    (len(alpha), K, len(r)).
     """
     m = state.l
+    if np.ndim(alpha):
+        alpha = np.asarray(alpha)[:, None, None]  # a leading axis over (K, len(r))
     cut = 1.0 - r / r0
     envelope = np.exp(-alpha * r)
     power = r**m
@@ -118,39 +126,75 @@ def ritz_basis(
     return values, derivs
 
 
+def _ritz_matrices(
+    state: StateLabel, r0: float, alpha: float | np.ndarray, rule: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlap S, Hamiltonian H and row scales of the Ritz basis on the rule.
+
+    The basis rows are scaled to unit norm before the weak-form matrix
+    elements are taken, and the scales are returned so the caller can fold
+    them back into its weights.  A 1-D alpha stacks the matrices along a
+    leading axis, as ritz_basis does.
+    """
+    r, w = rule
+    values, derivs = ritz_basis(state, r0, alpha, r)
+    scale = 1.0 / np.sqrt((values * values) @ (w * r))
+    values *= scale[..., None]
+    derivs *= scale[..., None]
+    values_t, derivs_t = values.swapaxes(-1, -2), derivs.swapaxes(-1, -2)
+    s_mat = (values * (w * r)) @ values_t
+    potential = w * (0.5 * state.l**2 / r - 1.0)
+    h_mat = 0.5 * (derivs * (w * r)) @ derivs_t + (values * potential) @ values_t
+    return s_mat, h_mat, scale
+
+
+def _ritz_failure(state: StateLabel, r0: float, exc: Exception) -> ConvergenceError:
+    return ConvergenceError(f"Ritz solve failed for {state.label} at r0={r0}: {exc}")
+
+
 def node_coefficients(
     state: StateLabel, r0: float, alpha: float, rule: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, np.ndarray]:
     """Ritz energy and normalized Ritz weights of the trial at fixed alpha.
 
     Rayleigh-Ritz in the span of ritz_basis: the generalized eigenproblem
-    is solved with the weak-form matrix elements and the eigenvector of
-    level n_r is taken, so states with radial nodes ride the (n_r+1)-th
-    eigenvalue.  By the Hylleraas-Undheim/MacDonald theorem that eigenvalue
-    lies above the exact level with the same node count, which keeps the
-    upper-bound property that orthogonalizing against an approximate lower
-    state would forfeit.  The basis rows are scaled to unit norm for the
-    solve and the scale is folded back into the weights, so
-    R = weights @ basis has Int R^2 r dr = 1 on the rule; the sign makes
-    R > 0 next to the origin.  The energy is the Rayleigh quotient of that
-    trial on the same rule (r, w), which energy_functional evaluates
-    independently.  ConvergenceError is raised when the overlap matrix is
-    not positive definite on the rule.
+    is solved with the weak-form matrix elements of _ritz_matrices and the
+    eigenvector of level n_r is taken, so states with radial nodes ride the
+    (n_r+1)-th eigenvalue.  By the Hylleraas-Undheim/MacDonald theorem that
+    eigenvalue lies above the exact level with the same node count, which
+    keeps the upper-bound property that orthogonalizing against an
+    approximate lower state would forfeit.  The row scale is folded back
+    into the weights, so R = weights @ basis has Int R^2 r dr = 1 on the
+    rule; the sign makes R > 0 next to the origin.  The energy is the
+    Rayleigh quotient of that trial on the same rule (r, w), which
+    energy_functional evaluates independently.  ConvergenceError is raised
+    when the overlap matrix is not positive definite on the rule.
     """
-    r, w = rule
-    values, derivs = ritz_basis(state, r0, alpha, r)
-    scale = 1.0 / np.sqrt((values * values) @ (w * r))
-    values *= scale[:, None]
-    derivs *= scale[:, None]
-    s_mat = (values * (w * r)) @ values.T
-    potential = w * (0.5 * state.l**2 / r - 1.0)
-    h_mat = 0.5 * (derivs * (w * r)) @ derivs.T + (values * potential) @ values.T
+    s_mat, h_mat, scale = _ritz_matrices(state, r0, alpha, rule)
     try:
         vals, vecs = eigh(h_mat, s_mat)
     except LinAlgError as exc:
-        raise ConvergenceError(f"Ritz solve failed for {state.label} at r0={r0}: {exc}") from exc
+        raise _ritz_failure(state, r0, exc) from exc
     weights = vecs[:, state.n_r] * scale
     return float(vals[state.n_r]), -weights if weights[0] < 0 else weights
+
+
+def _ritz_energies(
+    state: StateLabel, r0: float, alphas: np.ndarray, rule: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Ritz energy of level n_r at every alpha of a 1-D array, in one stacked solve.
+
+    The same eigenvalue node_coefficients takes, from the Cholesky factor
+    S = L L^T of every overlap and the eigenvalues of L^-1 H L^-T, each a
+    batched numpy call over the alpha axis.  ConvergenceError is raised
+    when any overlap is not positive definite on the rule.
+    """
+    s_mat, h_mat, _ = _ritz_matrices(state, r0, alphas, rule)
+    try:
+        inv_chol = np.linalg.inv(np.linalg.cholesky(s_mat))
+    except np.linalg.LinAlgError as exc:
+        raise _ritz_failure(state, r0, exc) from exc
+    return np.linalg.eigvalsh(inv_chol @ h_mat @ inv_chol.swapaxes(-1, -2))[:, state.n_r]
 
 
 def energy_functional(
@@ -210,11 +254,14 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
 
     At each alpha one Ritz solve gives the energy and the trial's weights.
     E(alpha) is sampled at _SCAN_POINTS evenly spaced alpha in
-    [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], and every interior local
-    minimum of the samples is polished by bounded Brent search over its two
-    neighbouring cells, because E(alpha) can have two basins (2s in tight
-    walls); the lowest polish wins.  ConvergenceError is raised when the
-    lowest sample sits on the scan edge.
+    [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], all in one stacked solve
+    (_ritz_energies), and every interior local minimum of the samples is
+    polished by bounded Brent search over its two neighbouring cells,
+    because E(alpha) can have two basins (2s in tight walls); the lowest
+    polish wins.  Each Brent step and the returned state take one
+    node_coefficients call.  ConvergenceError is raised when the lowest
+    sample sits on the scan edge, or when an overlap of the scan or of a
+    Brent step is not positive definite.
     """
     if r0 < MIN_WALL_RADIUS:
         raise ValueError(f"wall radius below supported minimum {MIN_WALL_RADIUS}: {r0}")
@@ -224,7 +271,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
         return node_coefficients(state, r0, alpha, rule)[0]
 
     alphas = np.linspace(-_SCAN_REACH / r0, _SCAN_REACH / min(r0, state.eta), _SCAN_POINTS)
-    energies = [energy_at(a) for a in alphas]
+    energies = _ritz_energies(state, r0, alphas, rule)
     low = int(np.argmin(energies))
     if low in (0, _SCAN_POINTS - 1):
         raise ConvergenceError(

@@ -136,6 +136,20 @@ def test_wide_wall_failure_is_isolated(tmp_path, capsys):
     assert "Ritz solve failed for 1s at r0=10000.0" in rows[1].error
 
 
+def test_bad_spacing_reads_the_same_from_flag_and_config(tmp_path, capsys):
+    """--spacing and the spacing config key fail the one SweepConfig check alike."""
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text("spacing=cubic\n")
+    errors = []
+    for argv in (["sweep", "--spacing", "cubic", "--out", str(tmp_path / "a")],
+                 ["sweep", "--config", str(cfg), "--out", str(tmp_path / "b")]):
+        assert main(argv) == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0] == "usage error: spacing must be 'log' or 'linear', got 'cubic'\n"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_missing_config_is_io_error(capsys):
     code = main(["sweep", "--config", "/nonexistent/sweep.cfg"])
     assert code == EXIT_IO

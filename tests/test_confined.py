@@ -184,6 +184,59 @@ def test_singular_overlap_is_a_convergence_error():
         solve(StateLabel(1, 0), 1e4)
 
 
+def _scan_alphas(st, r0):
+    """The alphas solve samples E(alpha) at."""
+    return np.linspace(
+        -confined._SCAN_REACH / r0, confined._SCAN_REACH / min(r0, st.eta), confined._SCAN_POINTS
+    )
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (2, 1), (3, 2), (4, 3), (5, 0)])
+def test_stacked_scan_energies_are_the_ritz_energies(n, m):
+    """The scan's one stacked solve gives node_coefficients' energy at every scan alpha.
+
+    To 1e-12 relative, or to eps * cond(S) where the overlap is worse
+    conditioned than that: two backward-stable reductions of one pencil
+    may differ by about that much.  Only the six-row 5s basis (cond(S) up
+    to 3e9) needs the wider bound; the stacked and scipy energies differ
+    there by up to 5e-9 at the scan ends.
+    """
+    st = StateLabel(n, m)
+    for r0 in (0.05, 0.5, 5.0, 40.0):
+        rule = radial_rule(r0)
+        alphas = _scan_alphas(st, r0)
+        stacked = confined._ritz_energies(st, r0, alphas, rule)
+        single = np.array([node_coefficients(st, r0, a, rule)[0] for a in alphas])
+        overlaps, _, _ = confined._ritz_matrices(st, r0, alphas, rule)
+        bound = np.maximum(1e-12, np.finfo(float).eps * np.linalg.cond(overlaps))
+        assert np.all(np.abs(stacked - single) <= bound * np.abs(single)), (st.label, r0)
+
+
+def test_scan_makes_no_single_ritz_solve(monkeypatch):
+    """node_coefficients runs once per Brent evaluation plus once for the final state."""
+    st, r0 = StateLabel(2, 0), 2.0
+    alphas = []
+    brent_evaluations = []
+    original_ritz, original_brent = confined.node_coefficients, confined.minimize_scalar
+
+    def recording_ritz(state, r0, alpha, rule):
+        alphas.append(alpha)
+        return original_ritz(state, r0, alpha, rule)
+
+    def recording_brent(*args, **kwargs):
+        res = original_brent(*args, **kwargs)
+        brent_evaluations.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(confined, "node_coefficients", recording_ritz)
+    monkeypatch.setattr(confined, "minimize_scalar", recording_brent)
+    cs = solve(st, r0)
+    assert brent_evaluations
+    assert len(alphas) == sum(brent_evaluations) + 1
+    assert not np.isin(alphas, _scan_alphas(st, r0)).any()
+    assert alphas[-1] == cs.alpha
+
+
 def test_negative_alpha_is_an_upper_bound():
     """An envelope growing toward the wall is still a valid trial."""
     st, r0, alpha = StateLabel(2, 1), 0.5, -0.6

@@ -36,11 +36,10 @@ trial that vanishes at the wall, so every alpha gives an upper bound, and
 in tight walls the optimum of some states (2p, 2s) has alpha < 0, an
 envelope growing toward the wall.  E(alpha) is sampled over one signed
 range and every interior local minimum of the samples is polished by
-bounded Brent search.  The samples come from one stacked Ritz solve over
-all scan alphas at once (_ritz_energies: batched Cholesky factors of the
-overlaps and eigenvalues of the reduced Hamiltonians); every Brent step
-and the final state use node_coefficients.  Both share one assembly of
-the matrix elements (_ritz_matrices).
+bounded Brent search.  node_coefficients is the one Ritz solve: it takes a
+scalar alpha or a 1-D array of them, so the scan samples come from one
+stacked call and every Brent step and the final state from scalar calls
+of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 from scipy.optimize import minimize_scalar
 
 from .free_atom import StateLabel
@@ -107,13 +105,12 @@ def ritz_basis(
 
     One row per power j of _ritz_powers(n_r), with the bare trial
     R_bare = e^(-alpha r) r^|m| (1 - r/r0).  The derivative takes
-    j r^max(j-1, 0), so the j = 0 row stays finite at the origin.  A scalar
-    alpha gives (K, len(r)) arrays; a 1-D alpha adds a leading axis,
-    (len(alpha), K, len(r)).
+    j r^max(j-1, 0), so the j = 0 row stays finite at the origin.  alpha
+    broadcasts as a leading axis: a scalar gives (K, len(r)) arrays and a
+    1-D alpha (len(alpha), K, len(r)), each slice the scalar call's arrays.
     """
     m = state.l
-    if np.ndim(alpha):
-        alpha = np.asarray(alpha)[:, None, None]  # a leading axis over (K, len(r))
+    alpha = np.asarray(alpha)[..., None, None]
     cut = 1.0 - r / r0
     envelope = np.exp(-alpha * r)
     power = r**m
@@ -121,8 +118,9 @@ def ritz_basis(
     bare = envelope * power * cut
     dbare = envelope * ((dpower - alpha * power) * cut - power / r0)
     j = np.array(_ritz_powers(state.n_r), dtype=float)[:, None]
-    values = bare * r**j
-    derivs = dbare * r**j + bare * j * r ** np.maximum(j - 1, 0)
+    monomials = r**j
+    values = bare * monomials
+    derivs = dbare * monomials + bare * j * r ** np.maximum(j - 1, 0)
     return values, derivs
 
 
@@ -138,63 +136,47 @@ def _ritz_matrices(
     """
     r, w = rule
     values, derivs = ritz_basis(state, r0, alpha, r)
-    scale = 1.0 / np.sqrt((values * values) @ (w * r))
+    wr = w * r
+    scale = 1.0 / np.sqrt((values * values) @ wr)
     values *= scale[..., None]
     derivs *= scale[..., None]
     values_t, derivs_t = values.swapaxes(-1, -2), derivs.swapaxes(-1, -2)
-    s_mat = (values * (w * r)) @ values_t
+    s_mat = (values * wr) @ values_t
     potential = w * (0.5 * state.l**2 / r - 1.0)
-    h_mat = 0.5 * (derivs * (w * r)) @ derivs_t + (values * potential) @ values_t
+    h_mat = 0.5 * (derivs * wr) @ derivs_t + (values * potential) @ values_t
     return s_mat, h_mat, scale
 
 
-def _ritz_failure(state: StateLabel, r0: float, exc: Exception) -> ConvergenceError:
-    return ConvergenceError(f"Ritz solve failed for {state.label} at r0={r0}: {exc}")
-
-
 def node_coefficients(
-    state: StateLabel, r0: float, alpha: float, rule: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray]:
+    state: StateLabel, r0: float, alpha: float | np.ndarray, rule: tuple[np.ndarray, np.ndarray]
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Ritz energy and normalized Ritz weights of the trial at fixed alpha.
 
     Rayleigh-Ritz in the span of ritz_basis: the generalized eigenproblem
-    is solved with the weak-form matrix elements of _ritz_matrices and the
-    eigenvector of level n_r is taken, so states with radial nodes ride the
-    (n_r+1)-th eigenvalue.  By the Hylleraas-Undheim/MacDonald theorem that
-    eigenvalue lies above the exact level with the same node count, which
-    keeps the upper-bound property that orthogonalizing against an
-    approximate lower state would forfeit.  The row scale is folded back
-    into the weights, so R = weights @ basis has Int R^2 r dr = 1 on the
-    rule; the sign makes R > 0 next to the origin.  The energy is the
-    Rayleigh quotient of that trial on the same rule (r, w), which
-    energy_functional evaluates independently.  ConvergenceError is raised
-    when the overlap matrix is not positive definite on the rule.
+    H u = E S u of _ritz_matrices is reduced with the Cholesky factor
+    S = L L^T to the symmetric L^-1 H L^-T, and eigenvector v of level n_r
+    gives u = L^-T v, so states with radial nodes ride the (n_r+1)-th
+    eigenvalue.  By the Hylleraas-Undheim/MacDonald theorem that eigenvalue
+    lies above the exact level with the same node count, which keeps the
+    upper-bound property that orthogonalizing against an approximate lower
+    state would forfeit.  The row scale is folded back into the weights, so
+    R = weights @ basis has Int R^2 r dr = 1 on the rule; the sign makes
+    R > 0 next to the origin.  The energy is the Rayleigh quotient of that
+    trial on the same rule (r, w), which energy_functional evaluates
+    independently.  A scalar alpha gives a scalar energy and (K,) weights;
+    a 1-D alpha solves every alpha in one stacked call, giving (A,) energies
+    and (A, K) weights.  ConvergenceError is raised when an overlap matrix
+    is not positive definite on the rule.
     """
     s_mat, h_mat, scale = _ritz_matrices(state, r0, alpha, rule)
     try:
-        vals, vecs = eigh(h_mat, s_mat)
-    except LinAlgError as exc:
-        raise _ritz_failure(state, r0, exc) from exc
-    weights = vecs[:, state.n_r] * scale
-    return float(vals[state.n_r]), -weights if weights[0] < 0 else weights
-
-
-def _ritz_energies(
-    state: StateLabel, r0: float, alphas: np.ndarray, rule: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Ritz energy of level n_r at every alpha of a 1-D array, in one stacked solve.
-
-    The same eigenvalue node_coefficients takes, from the Cholesky factor
-    S = L L^T of every overlap and the eigenvalues of L^-1 H L^-T, each a
-    batched numpy call over the alpha axis.  ConvergenceError is raised
-    when any overlap is not positive definite on the rule.
-    """
-    s_mat, h_mat, _ = _ritz_matrices(state, r0, alphas, rule)
-    try:
         inv_chol = np.linalg.inv(np.linalg.cholesky(s_mat))
     except np.linalg.LinAlgError as exc:
-        raise _ritz_failure(state, r0, exc) from exc
-    return np.linalg.eigvalsh(inv_chol @ h_mat @ inv_chol.swapaxes(-1, -2))[:, state.n_r]
+        raise ConvergenceError(f"Ritz solve failed for {state.label} at r0={r0}: {exc}") from exc
+    inv_chol_t = inv_chol.swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(inv_chol @ h_mat @ inv_chol_t)
+    weights = (inv_chol_t @ vecs[..., state.n_r : state.n_r + 1])[..., 0] * scale
+    return vals[..., state.n_r], np.where(weights[..., :1] < 0, -weights, weights)
 
 
 def energy_functional(
@@ -252,13 +234,13 @@ class ConfinedState:
 def solve(state: StateLabel, r0: float) -> ConfinedState:
     """Minimize E(alpha) for one state and wall radius.
 
-    At each alpha one Ritz solve gives the energy and the trial's weights.
-    E(alpha) is sampled at _SCAN_POINTS evenly spaced alpha in
-    [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], all in one stacked solve
-    (_ritz_energies), and every interior local minimum of the samples is
-    polished by bounded Brent search over its two neighbouring cells,
+    At each alpha one Ritz solve (node_coefficients) gives the energy and
+    the trial's weights.  E(alpha) is sampled at _SCAN_POINTS evenly spaced
+    alpha in [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], all in one stacked
+    node_coefficients call, and every interior local minimum of the samples
+    is polished by bounded Brent search over its two neighbouring cells,
     because E(alpha) can have two basins (2s in tight walls); the lowest
-    polish wins.  Each Brent step and the returned state take one
+    polish wins.  Each Brent step and the returned state take one scalar
     node_coefficients call.  ConvergenceError is raised when the lowest
     sample sits on the scan edge, or when an overlap of the scan or of a
     Brent step is not positive definite.
@@ -271,7 +253,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
         return node_coefficients(state, r0, alpha, rule)[0]
 
     alphas = np.linspace(-_SCAN_REACH / r0, _SCAN_REACH / min(r0, state.eta), _SCAN_POINTS)
-    energies = _ritz_energies(state, r0, alphas, rule)
+    energies, _ = node_coefficients(state, r0, alphas, rule)
     low = int(np.argmin(energies))
     if low in (0, _SCAN_POINTS - 1):
         raise ConvergenceError(
@@ -295,7 +277,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
 
     alpha = float(best.x)
     energy, weights = node_coefficients(state, r0, alpha, rule)
-    return ConfinedState(state, r0, alpha, energy, tuple(weights.tolist()))
+    return ConfinedState(state, r0, alpha, float(energy), tuple(weights.tolist()))
 
 
 def coulomb_expectation(cs: ConfinedState) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "FreeMeasures",
     "free_energy",
     "position_mean",
-    "position_second_moment",
     "position_variance",
     "position_fisher",
     "momentum_mean",
@@ -130,11 +129,6 @@ def _orbital_term(state: StateLabel) -> float:
 def position_mean(state: StateLabel) -> float:
     """<r> = [3 eta^2 - L(L+1)] / 2."""
     return 0.5 * (3.0 * state.eta**2 - _orbital_term(state))
-
-
-def position_second_moment(state: StateLabel) -> float:
-    """<r^2> = eta^2 [5 eta^2 - 3L(L+1) + 1] / 2."""
-    return 0.5 * state.eta**2 * (5.0 * state.eta**2 - 3.0 * _orbital_term(state) + 1.0)
 
 
 def position_variance(state: StateLabel) -> float:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
 from hydrodisc import confined
@@ -193,34 +194,43 @@ def _scan_alphas(st, r0):
 
 @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (2, 1), (3, 2), (4, 3), (5, 0)])
 def test_stacked_scan_energies_are_the_ritz_energies(n, m):
-    """The scan's one stacked solve gives node_coefficients' energy at every scan alpha.
+    """node_coefficients over the scan alphas gives the Ritz energies of each alpha.
 
-    To 1e-12 relative, or to eps * cond(S) where the overlap is worse
-    conditioned than that: two backward-stable reductions of one pencil
-    may differ by about that much.  Only the six-row 5s basis (cond(S) up
-    to 3e9) needs the wider bound; the stacked and scipy energies differ
-    there by up to 5e-9 at the scan ends.
+    The reference is scipy's generalized eigh(H, S) of the same matrices.
+    The stacked call agrees with it and with scalar calls to 1e-12
+    relative, or to eps * cond(S) where the overlap is worse conditioned
+    than that: two backward-stable reductions of one pencil may differ by
+    about that much.  Only the six-row 5s basis (cond(S) up to 3e9) needs
+    the wider bound.  The stacked basis is the scalar basis, bit for bit.
     """
     st = StateLabel(n, m)
     for r0 in (0.05, 0.5, 5.0, 40.0):
         rule = radial_rule(r0)
         alphas = _scan_alphas(st, r0)
-        stacked = confined._ritz_energies(st, r0, alphas, rule)
-        single = np.array([node_coefficients(st, r0, a, rule)[0] for a in alphas])
-        overlaps, _, _ = confined._ritz_matrices(st, r0, alphas, rule)
+        energies, weights = node_coefficients(st, r0, alphas, rule)
+        overlaps, hamiltonians, _ = confined._ritz_matrices(st, r0, alphas, rule)
+        reference = [eigh(h, s, eigvals_only=True)[st.n_r] for h, s in zip(hamiltonians, overlaps)]
         bound = np.maximum(1e-12, np.finfo(float).eps * np.linalg.cond(overlaps))
-        assert np.all(np.abs(stacked - single) <= bound * np.abs(single)), (st.label, r0)
+        assert np.all(np.abs(energies - reference) <= bound * np.abs(reference)), (st.label, r0)
+        values, derivs = confined.ritz_basis(st, r0, alphas, rule[0])
+        for i, alpha in enumerate(alphas):
+            energy, weights_i = node_coefficients(st, r0, alpha, rule)
+            assert abs(energies[i] - energy) <= bound[i] * abs(energy), (st.label, r0, alpha)
+            assert np.abs(weights[i] - weights_i).max() <= bound[i] * np.abs(weights_i).max()
+            single_values, single_derivs = confined.ritz_basis(st, r0, alpha, rule[0])
+            assert np.array_equal(values[i], single_values), (st.label, r0, alpha)
+            assert np.array_equal(derivs[i], single_derivs), (st.label, r0, alpha)
 
 
 def test_scan_makes_no_single_ritz_solve(monkeypatch):
-    """node_coefficients runs once per Brent evaluation plus once for the final state."""
+    """The scan is one stacked node_coefficients call; Brent and the final state call it singly."""
     st, r0 = StateLabel(2, 0), 2.0
-    alphas = []
+    calls = []
     brent_evaluations = []
     original_ritz, original_brent = confined.node_coefficients, confined.minimize_scalar
 
     def recording_ritz(state, r0, alpha, rule):
-        alphas.append(alpha)
+        calls.append(alpha)
         return original_ritz(state, r0, alpha, rule)
 
     def recording_brent(*args, **kwargs):
@@ -231,10 +241,11 @@ def test_scan_makes_no_single_ritz_solve(monkeypatch):
     monkeypatch.setattr(confined, "node_coefficients", recording_ritz)
     monkeypatch.setattr(confined, "minimize_scalar", recording_brent)
     cs = solve(st, r0)
+    assert np.array_equal(calls[0], _scan_alphas(st, r0))
     assert brent_evaluations
-    assert len(alphas) == sum(brent_evaluations) + 1
-    assert not np.isin(alphas, _scan_alphas(st, r0)).any()
-    assert alphas[-1] == cs.alpha
+    assert len(calls) == 1 + sum(brent_evaluations) + 1
+    assert all(np.ndim(alpha) == 0 for alpha in calls[1:])
+    assert calls[-1] == cs.alpha
 
 
 def test_negative_alpha_is_an_upper_bound():

@@ -21,11 +21,11 @@ kinetic identity.
 
 The r-integral is oscillatory: equal composite 32-point Gauss-Legendre
 panels each span at most 8 Bessel periods 2 pi/p and 40/kappa of the
-state's decay e^(-kappa r), kappa = (-2E)^(1/2), with at least 4 panels
-(see _panel_count: by the Gauss remainder bound, 4 nodes per period keep
-each panel's error near 1e-17 relative).  Panel counts are rounded up to
-powers of two so momenta can share evaluation grids, and each group of
-momenta costs one kernel matrix J_m(p r) and one matrix-vector product.
+state's decay e^(-kappa r), kappa = (-2E)^(1/2), and each momentum takes
+the fewest such panels, at least one (see _panel_count: by the Gauss
+remainder bound, 4 nodes per period keep each panel's error near 1e-17
+relative).  Momenta with equal panel counts share one r-grid, and each
+such group costs one kernel matrix J_m(p r) and one matrix-vector product.
 The p-grid is geometric from p_min = 1e-3 (about six panels a decade).
 Its step is capped at 8/r0, to resolve the wall oscillation J_m(p r0), only
 below p_wall: beyond it the wall term's norm W(p) = r0 R'(r0)^2/(3 pi p^3)
@@ -82,35 +82,35 @@ class AccuracyError(RuntimeError):
 
 
 def _panel_count(r0: float, kappa: float, p: np.ndarray) -> np.ndarray:
-    """Power-of-two numbers of equal r-panels on [0, r0], one per momentum in p.
+    """Fewest equal r-panels on [0, r0] that meet both width bounds, one per momentum in p.
 
-    Each count is the smallest power of two >= max(4, p r0/(16 pi),
-    kappa r0/40), so a panel spans at most 8 Bessel periods 2 pi/p and at
-    most 40/kappa of the state's decay e^(-kappa r).  The 32-node rule on
-    such a panel keeps 4 nodes per period.  The n-node Gauss remainder on a
-    panel of width L (Davis & Rabinowitz, Methods of Numerical Integration,
-    sec. 2.7) is L^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) f^(2n)(xi); with
+    Each count is ceil(max(1, p r0/(16 pi), kappa r0/40)), so a panel spans
+    at most 8 Bessel periods 2 pi/p and at most 40/kappa of the state's
+    decay e^(-kappa r).  The 32-node rule on such a panel keeps 4 nodes per
+    period.  The n-node Gauss remainder on a panel of width L (Davis &
+    Rabinowitz, Methods of Numerical Integration, sec. 2.7) is
+    L^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) f^(2n)(xi); with
     |d^(2n)/dr^(2n) J_m(pr)| <= p^(2n) it bounds p |E| by 10^-16.9 for 32
     nodes on 8 periods, against 10^-18.1 for 12 nodes on one period at
     three times the kernel evaluations.  For the decay e^(-kappa r),
-    kappa L <= 40 gives 10^-23.3.  The counts are rounded up to powers of
-    two so momenta share r-grids; p = 0 maps to the floor.
+    kappa L <= 40 gives 10^-23.3.  Both bounds hold per panel whatever the
+    count, so no count is raised beyond them; p = 0 takes one panel.
     """
-    need = np.maximum(np.maximum(p * r0 / (16.0 * math.pi), kappa * r0 / 40.0), 4.0)
-    mantissa, exponent = np.frexp(need)
-    # need = mantissa 2^exponent with mantissa in [0.5, 1): exact powers of two stay
-    return np.ldexp(1, exponent - (mantissa == 0.5)).astype(int)
+    need = np.maximum(np.maximum(p * r0 / (16.0 * math.pi), kappa * r0 / 40.0), 1.0)
+    return np.ceil(need).astype(int)
 
 
-def hankel_transform(cs: ConfinedState, p) -> np.ndarray:
-    """H(p) = Int R J_m(pr) r dr for an array of momenta p >= 0.
+def hankel_transform(cs: ConfinedState, p) -> float | np.ndarray:
+    """H(p) = Int R J_m(pr) r dr for momenta p >= 0: a float for a scalar p, else a 1-D array.
 
-    Momenta needing the same panel count share one r-grid, so the Bessel
-    kernel is evaluated as a single matrix per group.
+    Each momentum takes its own panel count (_panel_count); momenta with
+    equal counts share one r-grid, so the Bessel kernel is evaluated as a
+    single matrix per group.
     """
     m = cs.state.l
     r0 = cs.r0
-    p = np.asarray(p, dtype=float)
+    scalar = np.ndim(p) == 0
+    p = np.array(p, dtype=float, ndmin=1)
     value = np.empty_like(p)
     counts = _panel_count(r0, math.sqrt(max(-2.0 * cs.energy, 0.0)), p)
     for count in np.unique(counts):
@@ -123,7 +123,7 @@ def hankel_transform(cs: ConfinedState, p) -> np.ndarray:
         for lo in range(0, idx.size, rows):
             sel = idx[lo : lo + rows]
             value[sel] = bessel_j(m, p[sel, None] * r[None, :]) @ wrr
-    return value
+    return float(value[0]) if scalar else value
 
 
 @dataclass(frozen=True)

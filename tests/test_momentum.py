@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from hydrodisc import momentum
@@ -119,14 +121,19 @@ def test_oscillatory_quadrature_oversampling(tables_r2):
     assert abs(v[0] - fine) < tol
 
 
-@pytest.mark.parametrize("r0", [0.05, 2.0, 40.0])
-@pytest.mark.parametrize("state", [StateLabel(2, 0), StateLabel(4, 3)], ids=["2s", "4f"])
+_REFINED_PROBES = [StateLabel(*nm) for nm in ((1, 0), (2, 0), (2, 1), (3, 2), (4, 3), (5, 0))]
+
+
+@pytest.mark.parametrize("r0", [0.05, 0.5, 2.0, 5.0, 40.0])
+@pytest.mark.parametrize("state", _REFINED_PROBES, ids=lambda st: st.label)
 def test_transform_against_refined_panels(state, r0):
     """On its table grid the transform matches 4 times as many r-panels to 1e-13 of max|H|.
 
-    4f (m = 3) takes scipy's jv kernel; 2s has a node and the m = 0 cusp.
-    The reference keeps the 32-node rule and splits every panel of
-    _panel_count in four, per momentum.
+    The probes span m = 0 to 3: 4f takes scipy's jv kernel, 2s and 5s have
+    nodes and the m = 0 cusp, and the walls run from the momentum cap's
+    tight end to the free atom.  The reference keeps the 32-node rule and
+    splits every panel of _panel_count in four, per momentum, so the
+    one-panel floor of the tight walls and low momenta is checked here.
     """
     cs = solve(state, r0)
     tab = build_table(cs)
@@ -142,13 +149,40 @@ def test_transform_against_refined_panels(state, r0):
 
 
 def test_panel_count_rule():
-    """Smallest power of two >= max(4, p r0/(16 pi), kappa r0/40); p = 0 gets the floor."""
+    """ceil(max(1, p r0/(16 pi), kappa r0/40)); p = 0 takes one panel."""
     r0 = 10.0
     bound = 16.0 * math.pi / r0  # momentum at which p r0/(16 pi) = 1
     p = np.array([0.0, 3.9 * bound, 4.0 * bound, 4.01 * bound, 100.0 * bound])
-    assert momentum._panel_count(r0, 0.0, p).tolist() == [4, 4, 4, 8, 128]
-    # the decay floor: kappa r0/40 = 20 rounds up to 32
-    assert momentum._panel_count(r0, 80.0, p).tolist() == [32, 32, 32, 32, 128]
+    assert momentum._panel_count(r0, 0.0, p).tolist() == [1, 4, 4, 5, 100]
+    # the decay floor: kappa r0/40 = 20 panels until the momentum bound passes it
+    assert momentum._panel_count(r0, 80.0, p).tolist() == [20, 20, 20, 20, 100]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r0=hst.floats(0.05, 80.0),
+    kappa=hst.floats(0.0, 100.0),
+    p=hst.lists(hst.floats(0.0, 1e4), min_size=1, max_size=8),
+)
+def test_panel_count_is_the_fewest_meeting_both_bounds(r0, kappa, p):
+    """Each count is an integer >= 1 that meets both width bounds, and one panel fewer breaks one."""
+    p = np.array(p)
+    counts = momentum._panel_count(r0, kappa, p)
+    assert counts.dtype.kind == "i"
+    assert np.all(counts >= 1)
+    periods = p * r0 / (16.0 * math.pi)  # panels of 8 Bessel periods each
+    decay = kappa * r0 / 40.0  # panels of 40/kappa each
+    assert np.all(counts >= periods) and np.all(counts >= decay)
+    fewer = counts - 1
+    assert np.all((counts == 1) | (fewer < periods) | (fewer < decay))
+
+
+def test_scalar_momentum_matches_the_one_element_array(tables_r2):
+    """A scalar p returns a float equal to the transform of [p]."""
+    cs, _ = tables_r2["2p"]
+    value = hankel_transform(cs, 1.0)
+    assert isinstance(value, float)
+    assert value == hankel_transform(cs, [1.0])[0]
 
 
 def test_free_ground_state_density_shape():
@@ -204,12 +238,20 @@ def test_kronrod_check_failure_raises(tables_r2, monkeypatch):
     assert sum(seen) == tab.p_grid.size
 
 
-def test_kernel_chunks_match_single_momenta(tables_r2):
-    """A group spanning several kernel chunks matches the momenta transformed one at a time."""
-    cs, _ = tables_r2["3d"]
-    # 4000 momenta on the 4-panel floor, 128 r-nodes each: chunks of 2.5e5 // 128 = 1953 rows
-    # split the one group in three (1953, 1953, 94)
-    p = np.linspace(0.01, 1.0, 4000)
+def test_kernel_chunks_match_single_momenta():
+    """A group spanning several kernel chunks matches the momenta transformed one at a time.
+
+    Four panels set by the momentum bound span more than 24 Bessel periods,
+    where a tight-wall amplitude is a cancellation remainder (3d at r0 = 2:
+    H ~ 1e-5) and the summation order of the matrix product alone moves it
+    by up to 3e-10 relative.  1s at r0 = 70 still carries its bulk there,
+    so both paths agree to rounding.
+    """
+    cs = solve(StateLabel(1, 0), 70.0)
+    # 4000 momenta with p r0/(16 pi) in (3, 4] take 4 panels, 128 r-nodes each: chunks of
+    # 2.5e5 // 128 = 1953 rows split the one group in three (1953, 1953, 94)
+    bound = 16.0 * math.pi / cs.r0
+    p = np.linspace(3.01 * bound, 4.0 * bound, 4000)
     kappa = math.sqrt(max(-2.0 * cs.energy, 0.0))
     assert np.unique(momentum._panel_count(cs.r0, kappa, p)).tolist() == [4]
     single = np.array([hankel_transform(cs, p[i : i + 1])[0] for i in range(p.size)])
@@ -218,11 +260,11 @@ def test_kernel_chunks_match_single_momenta(tables_r2):
 
 @dataclasses.dataclass(frozen=True)
 class _UniformDisc:
-    """Duck-typed state: R = 2^(1/2)/a on r < a = r0/2, zero beyond.
+    """Duck-typed state: R = 2^(1/2)/r0 on the whole disc, so its jump is at the wall.
 
-    H(p) = 2^(1/2) J_1(pa)/p falls off like p^(-3/2), slower than the
+    H(p) = 2^(1/2) J_1(p r0)/p falls off like p^(-3/2), slower than the
     p^(-5/2) wall and p^(-3) origin terms of the tail model, so the norm
-    beyond p_max stays near 2/(pi a p_max) and no octave settles it.
+    beyond p_max stays near 2/(pi r0 p_max) and no octave settles it.
     """
 
     state: StateLabel = StateLabel(1, 0)
@@ -230,9 +272,8 @@ class _UniformDisc:
     energy: float = -0.5
 
     def radial(self, r):
-        a = 0.5 * self.r0
         r = np.asarray(r, dtype=float)
-        return np.where(r < a, math.sqrt(2.0) / a, 0.0), np.zeros_like(r)
+        return np.full_like(r, math.sqrt(2.0) / self.r0), np.zeros_like(r)
 
     def wall_slope(self):
         return 0.0
@@ -242,8 +283,9 @@ def test_slow_tail_reaches_the_momentum_cap():
     """A tail the model does not describe raises AccuracyError at the p_max cap."""
     disc = _UniformDisc()
     p = np.array([0.5, 3.0])
-    # the jump sits on a panel edge, so the transform itself is exact
-    assert_allclose(hankel_transform(disc, p), math.sqrt(2.0) * bessel_j(1, p) / p, rtol=1e-13)
+    # the jump is the end of every r-grid, so the transform itself is exact
+    exact = math.sqrt(2.0) * bessel_j(1, p * disc.r0) / p
+    assert_allclose(hankel_transform(disc, p), exact, rtol=1e-13)
     with pytest.raises(AccuracyError, match="reached the cap"):
         build_table(disc)
 

@@ -20,7 +20,12 @@ import numpy as np
 from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import StateLabel, free_energy, free_measures, table1_states
-from .measures import fisher_uncertainty_check, free_momentum_report, free_position_report
+from .measures import (
+    NORM_TOLERANCE,
+    fisher_uncertainty_check,
+    free_momentum_report,
+    free_position_report,
+)
 from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
 
 __all__ = ["run_all", "CRITERIA"]
@@ -42,6 +47,12 @@ def _complete(ev: PointEvaluation) -> PointEvaluation:
         where = f"{ev.state.label} r0={ev.r0:g} {ev.stage}"
         raise type(ev.error)(f"{where}: {ev.error}") from ev.error
     return ev
+
+
+def _brackets(r, diff) -> list[tuple[float, float]]:
+    """Neighbouring radii (r[i], r[i + 1]) between which diff changes sign."""
+    signs = np.sign(diff)
+    return [(float(r[i]), float(r[i + 1])) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
 
 
 def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:
@@ -157,12 +168,11 @@ def criterion_5(grid: list[PointEvaluation]) -> tuple[bool, str]:
     s2, d3 = StateLabel(2, 0), StateLabel(3, 2)
     grid = np.linspace(0.8, 1.3, 11)
     diff = np.array([solve(s2, float(r)).energy - solve(d3, float(r)).energy for r in grid])
-    signs = np.sign(diff)
-    changes = int(np.sum(signs[:-1] != signs[1:]))
+    brackets = _brackets(grid, diff)
+    changes = len(brackets)
     where = ""
     if changes == 1:
-        i = int(np.nonzero(signs[:-1] != signs[1:])[0][0])
-        where = f" between r0={grid[i]:.2f} and {grid[i + 1]:.2f}"
+        where = f" between r0={brackets[0][0]:.2f} and {brackets[0][1]:.2f}"
     elif changes == 0:
         # locate the inversion so the failure says where it actually happens
         lo, hi = 0.3, float(grid[-1])
@@ -201,16 +211,6 @@ def criterion_6(grid: list[PointEvaluation]) -> tuple[bool, str]:
     return (ok, detail)
 
 
-def _local_extrema(r: np.ndarray, y: np.ndarray, kind: str) -> list[float]:
-    out = []
-    for i in range(1, len(y) - 1):
-        if kind == "min" and y[i] < y[i - 1] and y[i] < y[i + 1]:
-            out.append(float(r[i]))
-        if kind == "max" and y[i] > y[i - 1] and y[i] > y[i + 1]:
-            out.append(float(r[i]))
-    return out
-
-
 def criterion_7(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Structural extrema of the Cramer-Rao curves (2s min/max, 2p;3d cross)."""
     problems = []
@@ -224,7 +224,11 @@ def criterion_7(grid: list[PointEvaluation]) -> tuple[bool, str]:
     if not (0 < i_min < len(r) - 1 and 4.0 <= r_min <= 8.0):
         problems.append(f"2s position CR minimum at r0={r_min:.2f}, outside [4, 8]")
 
-    maxima = [rm for rm in _local_extrema(r, cr_mom, "max") if 3.5 <= rm <= 7.0]
+    maxima = [
+        float(r[i])
+        for i in range(1, len(r) - 1)
+        if cr_mom[i - 1] < cr_mom[i] > cr_mom[i + 1] and 3.5 <= r[i] <= 7.0
+    ]
     if not maxima:
         problems.append("2s momentum CR has no interior maximum in [3.5, 7]")
 
@@ -233,13 +237,8 @@ def criterion_7(grid: list[PointEvaluation]) -> tuple[bool, str]:
     diff = np.array(
         [a.mom.cramer_rao - b.mom.cramer_rao for a, b in zip(pts_2p, pts_3d)]
     )
-    signs = np.sign(diff)
-    flips = np.nonzero(signs[:-1] != signs[1:])[0]
-    cross_at = None
-    for i in flips:
-        lo, hi = float(r[i]), float(r[i + 1])
-        if 4.5 <= lo and hi <= 7.5:
-            cross_at = (lo, hi)
+    inside = [(lo, hi) for lo, hi in _brackets(r, diff) if 4.5 <= lo and hi <= 7.5]
+    cross_at = inside[-1] if inside else None
     if cross_at is None:
         problems.append("2p/3d momentum CR curves do not cross inside [4.5, 7.5]")
     detail = (
@@ -279,7 +278,7 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
             problems.append(f"{st.label} r0={p.r0:.3f} <p^2>F[gamma] < 4")
         parseval = p.pos.norm_residual + p.mom.norm_residual
         worst_norm = max(worst_norm, parseval)
-        if p.pos.norm_residual > 1e-4 or p.mom.norm_residual > 1e-4 or parseval > 1e-4:
+        if parseval > NORM_TOLERANCE:  # both residuals are >= 0
             problems.append(f"{st.label} r0={p.r0:.3f} norm residual {parseval:.2e}")
         rel = _kinetic_residual(p)
         worst_kin = max(worst_kin, rel)
@@ -308,9 +307,7 @@ def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
 
     def crossings(st: StateLabel, r_values: np.ndarray) -> list[tuple[float, float]]:
         r = [float(r0) for r0 in r_values]
-        signs = np.sign([variance(st, r0) - variance(ground, r0) for r0 in r])
-        flips = np.nonzero(signs[:-1] != signs[1:])[0]
-        return [(r[i], r[i + 1]) for i in flips]
+        return _brackets(r, [variance(st, r0) - variance(ground, r0) for r0 in r])
 
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
     problems = []

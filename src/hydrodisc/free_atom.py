@@ -11,6 +11,12 @@ its magnetic number m; the formulas use the grand quantum number
 eta = n - 1/2, and the grand orbital number L = |m| - 1/2 enters only
 through L(L+1) = m^2 - 1/4 and 2L + 1 = 2|m|.  <p> has a closed form for the
 ns (m = 0) and circular (|m| = n - 1) states only.
+
+The radial wavefunctions are orthonormal polynomials of degree n_r times
+their weights: associated Laguerre L_k^(2|m|) in position space and
+Gegenbauer C_k^(|m|+1/2) in momentum space, each evaluated by scipy.special
+and scaled to unit norm in place.  Their derivatives use the degree k - 1
+polynomial, which scipy evaluates as 0 for k = 0.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import gamma_fn, gegenbauer_orthonormal, orthonormal_laguerre
+from scipy.special import eval_gegenbauer, eval_genlaguerre, gamma, gammaln
 
 __all__ = [
     "StateLabel",
@@ -169,13 +174,13 @@ def _momentum_mean_ns(n: int) -> float:
             (-1.0) ** j
             * (2.0 * j + 1.0)
             / (2.0 * j + 2.0)
-            * gamma_fn(j + 0.5) ** 2
-            / gamma_fn(j + 1.0) ** 4
-            * gamma_fn(n + j)
-            / gamma_fn(n - j)
+            * gamma(j + 0.5) ** 2
+            / gamma(j + 1.0) ** 4
+            * gamma(n + j)
+            / gamma(n - j)
         )
         total += term
-    return total
+    return float(total)
 
 
 def circular_momentum_moment(state: StateLabel, alpha: float) -> float:
@@ -185,11 +190,11 @@ def circular_momentum_moment(state: StateLabel, alpha: float) -> float:
     n = state.n
     if not (-2.0 * n < alpha < 2.0 * n + 2.0):
         raise ValueError(f"moment order {alpha} diverges for {state.label}")
-    return (
+    return float(
         (1.0 / state.eta) ** alpha
-        * gamma_fn(n + 0.5 * alpha)
-        * gamma_fn(n + 1.0 - 0.5 * alpha)
-        / (n * gamma_fn(float(n)) ** 2)
+        * gamma(n + 0.5 * alpha)
+        * gamma(n + 1.0 - 0.5 * alpha)
+        / (n * gamma(n) ** 2)
     )
 
 
@@ -232,17 +237,21 @@ def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarra
     lam = state.lam
     l, k = state.l, state.n_r
     rt = np.asarray(r, dtype=float) / lam
-    poly = orthonormal_laguerre(k, 2.0 * l, rt)
+    # L_k^(2l) scaled to unit norm under rt^(2l) e^-rt, d/dx L_k^(a) = -L_{k-1}^(a+1)
+    alpha = 2.0 * l
+    norm = float(np.exp(0.5 * (gammaln(k + 1.0) - gammaln(k + alpha + 1.0))))
+    poly = norm * eval_genlaguerre(k, alpha, rt)
+    dpoly = -norm * eval_genlaguerre(k - 1, alpha + 1.0, rt)
     const = math.sqrt(lam**-2 / (2.0 * state.eta))
     envelope = np.exp(-0.5 * rt)
     power = rt**l
-    value = const * power * envelope * poly.value
+    value = const * power * envelope * poly
     dpower = l * rt ** (l - 1) if l >= 1 else np.zeros_like(rt)
     deriv = (
         const
         / lam
         * envelope
-        * ((dpower - 0.5 * power) * poly.value + power * poly.derivative)
+        * ((dpower - 0.5 * power) * poly + power * dpoly)
     )
     return value, deriv
 
@@ -258,24 +267,36 @@ def free_radial_momentum_wf(state: StateLabel, p) -> tuple[np.ndarray, np.ndarra
     a_exp = 1.5 + 0.5 * l
     b_exp = 0.5 * l
     const = eta
-    poly = gegenbauer_orthonormal(k, alpha, y)
+    # C_k^(alpha) scaled to unit norm under (1-y^2)^(alpha-1/2), d/dy C_k^(a) = 2a C_{k-1}^(a+1)
+    if k == 0:
+        # duplication-safe form of the norm below
+        norm_sq = float(np.sqrt(np.pi) * gamma(alpha + 0.5) / gamma(alpha + 1.0))
+    else:
+        norm_sq = float(
+            np.pi
+            * 2.0 ** (1.0 - 2.0 * alpha)
+            * gamma(k + 2.0 * alpha)
+            / ((k + alpha) * gamma(k + 1.0) * gamma(alpha) ** 2)
+        )
+    norm = 1.0 / np.sqrt(norm_sq)
+    poly = norm * eval_gegenbauer(k, alpha, y)
+    dpoly = norm * 2.0 * alpha * eval_gegenbauer(k - 1, alpha + 1.0, y)
 
     positive = p > 0.0
     yp = np.where(positive, y, 0.0)  # placeholder at p=0, fixed below
     up = 1.0 + yp
     um = 1.0 - yp
-    value = const * up**a_exp * um**b_exp * poly.value
+    value = const * up**a_exp * um**b_exp * poly
     dy_dp = -4.0 * eta**2 * p / (1.0 + s2) ** 2
     dvalue_dy = const * (
-        up ** (a_exp - 1.0) * um ** (b_exp - 1.0) * (a_exp * um - b_exp * up) * poly.value
-        + up**a_exp * um**b_exp * poly.derivative
+        up ** (a_exp - 1.0) * um ** (b_exp - 1.0) * (a_exp * um - b_exp * up) * poly
+        + up**a_exp * um**b_exp * dpoly
     )
     deriv = dvalue_dy * dy_dp
 
     if np.any(~positive):
         # limits at p = 0, where y = 1 exactly
-        at_one = gegenbauer_orthonormal(k, alpha, 1.0)
-        peak = const * 2.0**a_exp * at_one.value
+        peak = const * 2.0**a_exp * (norm * eval_gegenbauer(k, alpha, 1.0))
         v0 = peak if l == 0 else 0.0
         d0 = peak * math.sqrt(2.0) * eta if l == 1 else 0.0
         value = np.where(positive, value, v0)

@@ -111,6 +111,8 @@ def hankel_transform(cs: ConfinedState, p) -> float | np.ndarray:
     r0 = cs.r0
     scalar = np.ndim(p) == 0
     p = np.array(p, dtype=float, ndmin=1)
+    if p.ndim > 1:
+        raise ValueError(f"momenta p must be a scalar or a 1-D array, got shape {p.shape}")
     value = np.empty_like(p)
     counts = _panel_count(r0, math.sqrt(max(-2.0 * cs.energy, 0.0)), p)
     for count in np.unique(counts):

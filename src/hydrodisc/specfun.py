@@ -1,11 +1,10 @@
-"""Special functions and quadrature rules used by the radial solvers.
+"""Quadrature rules and the Bessel kernel used by the radial solvers.
 
-Thin, contract-checked wrappers around scipy.special and numpy's
-Gauss-Legendre tables, the Gauss-Kronrod extension of those tables, and
-the composite/mapped rules every integral in the package is built from.
-Orthonormal variants of the classical polynomials are scaled so the
-weighted L2 norm is exactly 1, which keeps wavefunction normalization
-constants trivial downstream.
+numpy's Gauss-Legendre tables, the Gauss-Kronrod extension of those
+tables, the composite/mapped rules every integral in the package is built
+from, and the integer-order Bessel function J_m of the Hankel transform.
+The free-atom wavefunctions call scipy.special's classical polynomials
+directly.
 """
 
 from __future__ import annotations
@@ -20,16 +19,11 @@ from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
-    "PolynomialEval",
     "gauss_legendre",
     "gauss_kronrod",
     "composite_gauss",
     "composite_rule",
     "semi_axis_rule",
-    "gamma_fn",
-    "assoc_laguerre",
-    "orthonormal_laguerre",
-    "gegenbauer_orthonormal",
     "bessel_j",
 ]
 
@@ -48,14 +42,6 @@ class QuadratureRule:
             raise ValueError(f"empty interval [{a}, {b}]")
         half = 0.5 * (b - a)
         return a + half * (self.nodes + 1.0), half * self.weights
-
-
-@dataclass(frozen=True)
-class PolynomialEval:
-    """Value and first derivative of a polynomial at the evaluation points."""
-
-    value: np.ndarray
-    derivative: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -174,79 +160,6 @@ def semi_axis_rule(scale: float) -> tuple[np.ndarray, np.ndarray]:
     x = scale * t / (1.0 - t)
     w = wt * scale / (1.0 - t) ** 2
     return x, w
-
-
-def gamma_fn(x):
-    """Gamma function for positive real argument."""
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("gamma_fn requires finite x > 0")
-    out = _sp.gamma(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def assoc_laguerre(k: int, alpha: float, x) -> PolynomialEval:
-    """Associated Laguerre polynomial L_k^(alpha) with its derivative.
-
-    The derivative uses d/dx L_k^(a) = -L_{k-1}^(a+1).
-    """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    value = _sp.eval_genlaguerre(k, alpha, x)
-    if k == 0:
-        deriv = np.zeros_like(x)
-    else:
-        deriv = -_sp.eval_genlaguerre(k - 1, alpha + 1.0, x)
-    return PolynomialEval(value=value, derivative=deriv)
-
-
-def _laguerre_norm(k: int, alpha: float) -> float:
-    # 1 / sqrt(Gamma(k+alpha+1) / k!)
-    return float(np.exp(0.5 * (_sp.gammaln(k + 1.0) - _sp.gammaln(k + alpha + 1.0))))
-
-
-def orthonormal_laguerre(k: int, alpha: float, x) -> PolynomialEval:
-    """Laguerre polynomial scaled to unit norm under the weight x^alpha e^-x on [0, inf)."""
-    raw = assoc_laguerre(k, alpha, x)
-    c = _laguerre_norm(k, alpha)
-    return PolynomialEval(value=c * raw.value, derivative=c * raw.derivative)
-
-
-def _gegenbauer_norm_sq(k: int, alpha: float) -> float:
-    # integral of (1-y^2)^(alpha-1/2) C_k^alpha(y)^2 over [-1, 1]
-    if k == 0:
-        # duplication-safe form, valid down to alpha > -1/2
-        return float(np.sqrt(np.pi) * _sp.gamma(alpha + 0.5) / _sp.gamma(alpha + 1.0))
-    return float(
-        np.pi
-        * 2.0 ** (1.0 - 2.0 * alpha)
-        * _sp.gamma(k + 2.0 * alpha)
-        / ((k + alpha) * _sp.gamma(k + 1.0) * _sp.gamma(alpha) ** 2)
-    )
-
-
-def gegenbauer_orthonormal(k: int, alpha: float, y) -> PolynomialEval:
-    """Gegenbauer polynomial scaled to unit norm under (1-y^2)^(alpha-1/2) on [-1, 1].
-
-    The derivative uses d/dy C_k^(a) = 2a C_{k-1}^(a+1).
-    """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if alpha <= -0.5 or alpha == 0.0:
-        raise ValueError(f"alpha must exceed -1/2 and be nonzero, got {alpha}")
-    if k > 0 and alpha < 0.0:
-        raise ValueError("negative alpha supported only for degree 0")
-    y = np.asarray(y, dtype=float)
-    c = 1.0 / np.sqrt(_gegenbauer_norm_sq(k, alpha))
-    value = c * _sp.eval_gegenbauer(k, alpha, y)
-    if k == 0:
-        deriv = np.zeros_like(y)
-    else:
-        deriv = c * 2.0 * alpha * _sp.eval_gegenbauer(k - 1, alpha + 1.0, y)
-    return PolynomialEval(value=value, derivative=deriv)
 
 
 def bessel_j(m: int, z):

@@ -153,11 +153,30 @@ def test_circular_rydberg_momentum_scale():
     assert devs[2] < 0.01
 
 
+def _states_with_m(m, n_max=5):
+    return [StateLabel(n, m) for n in range(m + 1, n_max + 1)]
+
+
+# radial node count n_r = 0 (1s, 2p, 3d) and n_r >= 1 (2s, 3s, 4p); the n_r = 0
+# derivatives rest on scipy evaluating the degree -1 polynomial as 0
+FD_STATES = [StateLabel(1, 0), StateLabel(2, 1), StateLabel(3, 2),
+             StateLabel(2, 0), StateLabel(3, 0), StateLabel(4, 1)]
+
+
 def test_position_wavefunctions_are_normalized():
     for st in table1_states():
         x, w = semi_axis_rule(st.eta**2 * 1.5)
         v, _ = free_radial_position_wf(st, x)
         assert abs(np.sum(w * v * v * x) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_position_wavefunctions_are_orthonormal(m):
+    """Int R_n R_n' r dr = delta_nn' for equal m across n <= 5, on one semi-axis rule."""
+    x, w = semi_axis_rule(2.0)
+    radial = np.array([free_radial_position_wf(st, x)[0] for st in _states_with_m(m)])
+    gram = (radial * w * x) @ radial.T
+    assert_allclose(gram, np.eye(len(radial)), rtol=0, atol=1e-13)
 
 
 def tangent_axis_rule(scale, order=16, panels=64):
@@ -187,14 +206,23 @@ def test_momentum_wavefunctions_are_normalized():
         assert abs(np.sum(w * v * v * p) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_momentum_wavefunctions_are_orthonormal(m):
+    """Int M_n M_n' p dp = delta_nn' for equal m across n <= 5, on one tangent-axis rule."""
+    p, w = tangent_axis_rule(2.5, 16, 128)
+    radial = np.array([free_radial_momentum_wf(st, p)[0] for st in _states_with_m(m)])
+    gram = (radial * w * p) @ radial.T
+    assert_allclose(gram, np.eye(len(radial)), rtol=0, atol=1e-13)
+
+
 def test_position_wavefunction_derivative_fd():
-    st = StateLabel(2, 0)
     r = np.linspace(0.3, 9.0, 11)
     h = 1e-6
-    _, deriv = free_radial_position_wf(st, r)
-    vp, _ = free_radial_position_wf(st, r + h)
-    vm, _ = free_radial_position_wf(st, r - h)
-    assert_allclose(deriv, (vp - vm) / (2 * h), rtol=1e-6, atol=1e-9)
+    for st in FD_STATES:
+        _, deriv = free_radial_position_wf(st, r)
+        vp, _ = free_radial_position_wf(st, r + h)
+        vm, _ = free_radial_position_wf(st, r - h)
+        assert_allclose(deriv, (vp - vm) / (2 * h), rtol=1e-6, atol=1e-9, err_msg=st.label)
 
 
 def test_momentum_wavefunction_origin_limits():
@@ -208,13 +236,13 @@ def test_momentum_wavefunction_origin_limits():
 
 
 def test_momentum_wavefunction_derivative_fd():
-    st = StateLabel(3, 2)
     p = np.linspace(0.05, 1.5, 9)
     h = 1e-7
-    _, deriv = free_radial_momentum_wf(st, p)
-    vp, _ = free_radial_momentum_wf(st, p + h)
-    vm, _ = free_radial_momentum_wf(st, p - h)
-    assert_allclose(deriv, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-8)
+    for st in FD_STATES:
+        _, deriv = free_radial_momentum_wf(st, p)
+        vp, _ = free_radial_momentum_wf(st, p + h)
+        vm, _ = free_radial_momentum_wf(st, p - h)
+        assert_allclose(deriv, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-8, err_msg=st.label)
 
 
 def test_table1_states_order():

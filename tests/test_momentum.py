@@ -335,6 +335,8 @@ def test_validation_errors(tables_r2):
     cs, tab = tables_r2["1s"]
     with pytest.raises(ValueError):
         hankel_transform(cs, np.array([-0.5]))
+    with pytest.raises(ValueError, match=r"momenta p .* got shape \(2, 3\)"):
+        hankel_transform(cs, np.ones((2, 3)))
     # <p^-2> is a position-space integral (measures), for every m
     _, tab_2p = tables_r2["2p"]
     for table in (tab, tab_2p):

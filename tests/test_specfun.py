@@ -1,4 +1,4 @@
-"""Quadrature rules, orthogonal polynomials, and Bessel kernels."""
+"""Quadrature rules and the Bessel kernel."""
 
 import math
 
@@ -7,15 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hydrodisc.specfun import (
-    assoc_laguerre,
     bessel_j,
     composite_gauss,
     composite_rule,
-    gamma_fn,
     gauss_kronrod,
     gauss_legendre,
-    gegenbauer_orthonormal,
-    orthonormal_laguerre,
     semi_axis_rule,
 )
 
@@ -101,72 +97,6 @@ def test_semi_axis_rule_gamma_integrals():
         assert abs(np.sum(w * x**k * np.exp(-x)) - math.factorial(k)) < 1e-12
     with pytest.raises(ValueError):
         semi_axis_rule(0.0)
-
-
-def test_gamma_fn_values_and_domain():
-    assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-14
-    assert abs(gamma_fn(5.0) - 24.0) < 1e-12
-    assert_allclose(gamma_fn(np.array([1.0, 2.0, 4.0])), [1.0, 1.0, 6.0], rtol=1e-13)
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(np.array([1.0, -2.0]))
-
-
-def test_orthonormal_laguerre_orthonormality():
-    """Unit norm under the weight x^alpha e^-x on the half axis."""
-    alpha = 1.0
-    x, w = semi_axis_rule(1.0)
-    weight = w * x**alpha * np.exp(-x)
-    for j in range(4):
-        pj = orthonormal_laguerre(j, alpha, x).value
-        for k in range(j + 1):
-            pk = orthonormal_laguerre(k, alpha, x).value
-            expect = 1.0 if j == k else 0.0
-            assert abs(np.sum(weight * pj * pk) - expect) < 1e-12
-
-
-def test_assoc_laguerre_derivative_matches_fd():
-    x = np.linspace(0.1, 8.0, 17)
-    h = 1e-6
-    out = assoc_laguerre(3, 2.0, x)
-    fd = (assoc_laguerre(3, 2.0, x + h).value - assoc_laguerre(3, 2.0, x - h).value) / (2 * h)
-    assert_allclose(out.derivative, fd, rtol=1e-7, atol=1e-7)
-    with pytest.raises(ValueError):
-        assoc_laguerre(-1, 0.0, x)
-    with pytest.raises(ValueError):
-        assoc_laguerre(2, -1.5, x)
-
-
-def test_gegenbauer_orthonormality_and_derivative():
-    alpha = 1.5
-    y, w = composite_gauss(np.linspace(-1.0, 1.0, 33), 12)
-    weight = w * (1.0 - y * y) ** (alpha - 0.5)
-    for j in range(4):
-        pj = gegenbauer_orthonormal(j, alpha, y).value
-        for k in range(j + 1):
-            pk = gegenbauer_orthonormal(k, alpha, y).value
-            expect = 1.0 if j == k else 0.0
-            assert abs(np.sum(weight * pj * pk) - expect) < 1e-12
-    h = 1e-6
-    mid = np.linspace(-0.9, 0.9, 7)
-    out = gegenbauer_orthonormal(3, alpha, mid)
-    fd = (
-        gegenbauer_orthonormal(3, alpha, mid + h).value
-        - gegenbauer_orthonormal(3, alpha, mid - h).value
-    ) / (2 * h)
-    assert_allclose(out.derivative, fd, rtol=1e-7)
-
-
-def test_gegenbauer_degree_zero_negative_alpha():
-    """Only the constant polynomial is defined for -1/2 < alpha < 0."""
-    y = np.array([0.0, 0.5])
-    p0 = gegenbauer_orthonormal(0, -0.3, y)
-    assert np.all(np.isfinite(p0.value))
-    with pytest.raises(ValueError):
-        gegenbauer_orthonormal(1, -0.3, y)
-    with pytest.raises(ValueError):
-        gegenbauer_orthonormal(2, 0.0, y)
 
 
 def _j0_series(z: float) -> float:

@@ -5,7 +5,10 @@ confinement sweep grid through the sweep's own evaluator once, timed on its
 own line, and hands it to every criterion; criteria that need points off
 that grid (r0 = 30, the crossing windows) evaluate them the same way.  A
 point whose solve or quadrature fails re-raises its error, naming the point.
-The time shown per criterion is its own marginal cost.
+The time shown per criterion is its own marginal cost.  When the feature of
+criterion 5 or 9 misses its window, the failure line says where it is: the
+sign changes of the curve gap on a scan grid, each refined by Brent's
+method (_locate).
 
 Run via `hydrodisc verify` or the pytest wrapper in tests/test_acceptance.py.
 """
@@ -16,6 +19,7 @@ import math
 import time
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
@@ -53,6 +57,12 @@ def _brackets(r, diff) -> list[tuple[float, float]]:
     """Neighbouring radii (r[i], r[i + 1]) between which diff changes sign."""
     signs = np.sign(diff)
     return [(float(r[i]), float(r[i + 1])) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
+
+
+def _locate(f, r) -> list[float]:
+    """Sign changes of f on the grid r, each refined by Brent's method to 1e-4."""
+    brackets = _brackets(r, [f(float(x)) for x in r])
+    return [brentq(f, lo, hi, xtol=1e-4) for lo, hi in brackets]
 
 
 def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:
@@ -166,27 +176,22 @@ def criterion_4(grid: list[PointEvaluation]) -> tuple[bool, str]:
 def criterion_5(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """(2s;3d) energy inversion: exactly one sign change on [0.8, 1.3]."""
     s2, d3 = StateLabel(2, 0), StateLabel(3, 2)
+
+    def gap(r0: float) -> float:
+        return solve(s2, r0).energy - solve(d3, r0).energy
+
     grid = np.linspace(0.8, 1.3, 11)
-    diff = np.array([solve(s2, float(r)).energy - solve(d3, float(r)).energy for r in grid])
-    brackets = _brackets(grid, diff)
+    brackets = _brackets(grid, [gap(float(r)) for r in grid])
     changes = len(brackets)
     where = ""
     if changes == 1:
         where = f" between r0={brackets[0][0]:.2f} and {brackets[0][1]:.2f}"
     elif changes == 0:
         # locate the inversion so the failure says where it actually happens
-        lo, hi = 0.3, float(grid[-1])
-        f_lo = solve(s2, lo).energy - solve(d3, lo).energy
-        if f_lo > 0 > diff[-1]:
-            for _ in range(20):
-                mid = 0.5 * (lo + hi)
-                if solve(s2, mid).energy - solve(d3, mid).energy > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            where = f"; the inversion actually happens at r0 = {0.5 * (lo + hi):.3f}"
-        else:
-            where = "; no inversion anywhere in [0.3, 1.3]"
+        found = _locate(gap, np.linspace(0.3, 1.3, 11))
+        at = ", ".join(f"{x:.3f}" for x in found)
+        where = (f"; the inversion actually happens at r0 = {at}" if found
+                 else "; no inversion anywhere in [0.3, 1.3]")
     detail = f"E(2s)-E(3d) changes sign {changes}x on 11-point grid{where}"
     return (changes == 1, detail)
 
@@ -295,7 +300,8 @@ def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Momentum-variance crossings with the ground state in the stated windows.
 
     The windows and the failure scan share radii, so each (state, r0) is
-    evaluated once, on first use, and its variance kept for this call.
+    evaluated once, on first use, and its variance kept for this call; the
+    brackets Brent's method refines end on scan radii, so they reuse it too.
     """
     ground = StateLabel(1, 0)
     variances: dict[tuple[StateLabel, float], float] = {}
@@ -305,22 +311,23 @@ def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
             variances[st, r0] = _complete(evaluate(st, r0)).mom.variance
         return variances[st, r0]
 
-    def crossings(st: StateLabel, r_values: np.ndarray) -> list[tuple[float, float]]:
-        r = [float(r0) for r0 in r_values]
-        return _brackets(r, [variance(st, r0) - variance(ground, r0) for r0 in r])
-
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
     problems = []
     found = []
     for label, (lo, hi) in windows.items():
         st = next(s for s in table1_states() if s.label == label)
-        brackets = crossings(st, np.linspace(lo, hi, 7))
+
+        def gap(r0: float) -> float:
+            return variance(st, r0) - variance(ground, r0)
+
+        r = [float(r0) for r0 in np.linspace(lo, hi, 7)]
+        brackets = _brackets(r, [gap(r0) for r0 in r])
         if len(brackets) == 1:
             found.append(f"(1s;{label}) in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]")
             continue
         # locate where the curves actually cross so the failure is informative
-        wide = crossings(st, np.arange(0.8, 3.61, 0.14))
-        where = ", ".join(f"[{a:.2f}, {b:.2f}]" for a, b in wide) or "nowhere in [0.8, 3.6]"
+        wide = _locate(gap, np.arange(0.8, 3.61, 0.14))
+        where = ", ".join(f"r0 = {x:.3f}" for x in wide) or "nowhere in [0.8, 3.6]"
         problems.append(
             f"(1s;{label}) has {len(brackets)} crossings in [{lo}, {hi}]; "
             f"the pipeline curves actually cross at {where}"

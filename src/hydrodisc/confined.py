@@ -50,7 +50,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .free_atom import StateLabel
-from .specfun import gauss_legendre
+from .specfun import composite_gauss
 
 __all__ = [
     "ConvergenceError",
@@ -82,7 +82,7 @@ def radial_rule(r0: float) -> tuple[np.ndarray, np.ndarray]:
     solver's matrix elements, the energy functional and the position-space
     measures.
     """
-    return gauss_legendre(_RADIAL_ORDER).mapped(0.0, r0)
+    return composite_gauss(np.array([0.0, r0]), _RADIAL_ORDER)
 
 
 def _ritz_powers(n_r: int) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
 """Closed-form measures and wavefunctions of the free two-dimensional hydrogen atom.
 
-Everything here is analytic: energies, radial wavefunctions in position and
-momentum space, first and second moments, Fisher information, and the
-Crámer-Rao complexity built from them.  These serve as oracle values for the
-confined solver in its weak-confinement limit and as reference rows for the
-free-atom table.
+Everything here is analytic: the energy (free_energy), the radial
+wavefunctions in position and momentum space, the means <r> and <p>
+(position_mean, momentum_mean), and, from free_measures alone, the
+variance, Fisher information and Crámer-Rao complexity in both spaces.
+These serve as oracle values for the confined solver in its
+weak-confinement limit and as reference rows for the free-atom table.
 
 Atomic units throughout.  A state is labelled by its principal number n and
 its magnetic number m; the formulas use the grand quantum number
@@ -32,13 +33,7 @@ __all__ = [
     "FreeMeasures",
     "free_energy",
     "position_mean",
-    "position_variance",
-    "position_fisher",
     "momentum_mean",
-    "momentum_second_moment",
-    "momentum_variance",
-    "momentum_fisher",
-    "circular_momentum_moment",
     "free_measures",
     "table1_states",
     "free_radial_position_wf",
@@ -71,11 +66,6 @@ class StateLabel:
         return self.n - 0.5
 
     @property
-    def lam(self) -> float:
-        """Radial length scale eta/2."""
-        return 0.5 * self.eta
-
-    @property
     def n_r(self) -> int:
         """Radial node count n - l - 1, the Laguerre/Gegenbauer degree."""
         return self.n - self.l - 1
@@ -106,71 +96,32 @@ class FreeMeasures:
     cr_pos: float
     cr_mom: float
 
-    @classmethod
-    def from_parts(
-        cls, energy: float, v_pos: float, f_pos: float, v_mom: float, f_mom: float
-    ) -> "FreeMeasures":
-        return cls(
-            energy=energy,
-            v_pos=v_pos,
-            f_pos=f_pos,
-            v_mom=v_mom,
-            f_mom=f_mom,
-            cr_pos=f_pos * v_pos,
-            cr_mom=f_mom * v_mom,
-        )
-
 
 def free_energy(state: StateLabel) -> float:
     """Bound-state energy -1/(2 eta^2)."""
     return -0.5 / state.eta**2
 
 
-def _orbital_term(state: StateLabel) -> float:
-    """L(L+1) = m^2 - 1/4, exact in floating point."""
-    return state.l**2 - 0.25
-
-
 def position_mean(state: StateLabel) -> float:
     """<r> = [3 eta^2 - L(L+1)] / 2."""
-    return 0.5 * (3.0 * state.eta**2 - _orbital_term(state))
+    return 0.5 * (3.0 * state.eta**2 - (state.l**2 - 0.25))
 
 
-def position_variance(state: StateLabel) -> float:
-    """V[rho] = [eta^2 (eta^2 + 2) - L^2 (L+1)^2] / 4."""
-    return 0.25 * (state.eta**2 * (state.eta**2 + 2.0) - _orbital_term(state) ** 2)
+def momentum_mean(state: StateLabel) -> float:
+    """<p> where a closed form exists: ns and circular states.
 
-
-def position_fisher(state: StateLabel) -> float:
-    """F[rho] = 4 (eta - |m|) / eta^3."""
-    return 4.0 * (state.eta - state.l) / state.eta**3
-
-
-def momentum_second_moment(state: StateLabel) -> float:
-    """<p^2> = 1/eta^2 (virial theorem)."""
-    return 1.0 / state.eta**2
-
-
-def momentum_fisher(state: StateLabel) -> float:
-    """F[gamma] = 2 eta^2 [5 eta^2 - 3L(L+1) - |m|(8 eta - 6L - 3) + 1], 6L + 3 = 6|m|."""
-    eta = state.eta
-    return (
-        2.0
-        * eta**2
-        * (
-            5.0 * eta**2
-            - 3.0 * _orbital_term(state)
-            - state.l * (8.0 * eta - 6.0 * state.l)
-            + 1.0
-        )
-    )
-
-
-def _momentum_mean_ns(n: int) -> float:
-    # alternating finite sum, exact for every ns state
+    A circular state has <p> = Gamma(n + 1/2)^2 / (eta n Gamma(n)^2); an ns
+    state the alternating finite sum below.  No general closed form for <p>
+    is known; other states raise ValueError.
+    """
+    n = state.n
+    if state.is_circular:
+        return float((1.0 / state.eta) * gamma(n + 0.5) * gamma(n + 0.5) / (n * gamma(n) ** 2))
+    if not state.is_ns:
+        raise ValueError(f"<p> has no implemented closed form for {state.label}")
     total = 0.0
     for j in range(n):
-        term = (
+        total += (
             (-1.0) ** j
             * (2.0 * j + 1.0)
             / (2.0 * j + 2.0)
@@ -179,51 +130,39 @@ def _momentum_mean_ns(n: int) -> float:
             * gamma(n + j)
             / gamma(n - j)
         )
-        total += term
     return float(total)
 
 
-def circular_momentum_moment(state: StateLabel, alpha: float) -> float:
-    """<p^alpha> of a circular state, -2n < alpha < 2n + 2."""
-    if not state.is_circular:
-        raise ValueError(f"{state.label} is not a circular state")
-    n = state.n
-    if not (-2.0 * n < alpha < 2.0 * n + 2.0):
-        raise ValueError(f"moment order {alpha} diverges for {state.label}")
-    return float(
-        (1.0 / state.eta) ** alpha
-        * gamma(n + 0.5 * alpha)
-        * gamma(n + 1.0 - 0.5 * alpha)
-        / (n * gamma(n) ** 2)
-    )
-
-
-def momentum_mean(state: StateLabel) -> float:
-    """<p> where a closed form exists: ns and circular states.
-
-    No general closed form for <p> is known; other states raise ValueError.
-    """
-    if state.is_circular:
-        return circular_momentum_moment(state, 1.0)
-    if state.is_ns:
-        return _momentum_mean_ns(state.n)
-    raise ValueError(f"<p> has no implemented closed form for {state.label}")
-
-
-def momentum_variance(state: StateLabel) -> float:
-    """V[gamma] = <p^2> - <p>^2 for ns and circular states."""
-    mean = momentum_mean(state)
-    return momentum_second_moment(state) - mean**2
-
-
 def free_measures(state: StateLabel) -> FreeMeasures:
-    """All free-atom measures of a state with known <p> (ns or circular)."""
-    return FreeMeasures.from_parts(
+    """All free-atom measures of a state with known <p> (ns or circular).
+
+    With L(L+1) = m^2 - 1/4, exact in floating point:
+
+        V[rho]   = [eta^2 (eta^2 + 2) - L^2 (L+1)^2] / 4
+        F[rho]   = 4 (eta - |m|) / eta^3
+        V[gamma] = <p^2> - <p>^2, <p^2> = 1/eta^2 (virial theorem)
+        F[gamma] = 2 eta^2 [5 eta^2 - 3L(L+1) - |m|(8 eta - 6L - 3) + 1], 6L + 3 = 6|m|
+
+    and the Cramer-Rao complexity C = F V in each space.
+    """
+    eta, l = state.eta, state.l
+    orbital = l**2 - 0.25
+    v_pos = 0.25 * (eta**2 * (eta**2 + 2.0) - orbital**2)
+    f_pos = 4.0 * (eta - l) / eta**3
+    v_mom = 1.0 / eta**2 - momentum_mean(state) ** 2
+    f_mom = (
+        2.0
+        * eta**2
+        * (5.0 * eta**2 - 3.0 * orbital - l * (8.0 * eta - 6.0 * l) + 1.0)
+    )
+    return FreeMeasures(
         energy=free_energy(state),
-        v_pos=position_variance(state),
-        f_pos=position_fisher(state),
-        v_mom=momentum_variance(state),
-        f_mom=momentum_fisher(state),
+        v_pos=v_pos,
+        f_pos=f_pos,
+        v_mom=v_mom,
+        f_mom=f_mom,
+        cr_pos=f_pos * v_pos,
+        cr_mom=f_mom * v_mom,
     )
 
 
@@ -234,7 +173,7 @@ def table1_states() -> list[StateLabel]:
 
 def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarray]:
     """Radial position wavefunction R(r) and dR/dr, normalized by Int R^2 r dr = 1."""
-    lam = state.lam
+    lam = 0.5 * state.eta  # radial length scale
     l, k = state.l, state.n_r
     rt = np.asarray(r, dtype=float) / lam
     # L_k^(2l) scaled to unit norm under rt^(2l) e^-rt, d/dx L_k^(a) = -L_{k-1}^(a+1)

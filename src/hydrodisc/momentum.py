@@ -41,12 +41,14 @@ the table stores the Kronrod values, so every momentum is transformed once.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
-across octaves), and for m = 0 the Coulomb cusp at the origin gives a
-smooth H(p) -> 2 R(0)/p^3 term (for the free ground state this is exactly
-(eta p)^-3).  build_table stores the wall slope and origin amplitude, and
-the table exposes the analytic tail corrections the measures add beyond
-p_max; the grid is extended until the corrected moments are stable octave
-to octave.
+across octaves), and for m = 0 a nonzero slope R'(0) at the origin gives a
+smooth H(p) -> -R'(0)/p^3 term.  Only under the free-atom cusp R'(0) = -2 R(0)
+is this 2 R(0)/p^3 (for the free ground state exactly (eta p)^-3); a
+confined trial misses the cusp by a few percent (2s at r0 = 6: -R'(0) =
+1.707 against 2 R(0) = 1.782), so build_table stores the wall slope and
+the origin slope -R'(0), and the table exposes the analytic tail
+corrections the measures add beyond p_max; the grid is extended until the
+corrected moments are stable octave to octave.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ P_MIN = 1e-3
 _R_ORDER = 32  # Gauss-Legendre order per r-panel of up to 8 Bessel periods (see _panel_count)
 _P_ORDER = 12  # Gauss-Legendre order per momentum panel (Kronrod-extended to 25)
 _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
-_DOUBLING_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
+_KRONROD_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
 _TAIL_TOLERANCE = 1e-6  # estimated norm beyond p_max accepted
 _WALL_TOLERANCE = 1e-12  # norm change allowed from the wall term left unresolved beyond p_wall
 
@@ -223,7 +225,7 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
 
     The final panels are then checked once: the moments of the 12-point
     Gauss rule, read from the Kronrod rule's odd nodes, must agree with the
-    25-point Kronrod moments to _DOUBLING_TOLERANCE, or AccuracyError is
+    25-point Kronrod moments to _KRONROD_TOLERANCE, or AccuracyError is
     raised.  As in QUADPACK the difference is the error estimate of the
     Gauss rule and the table stores the more accurate Kronrod values.
     """
@@ -287,7 +289,7 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     _, w_gauss = composite_gauss(edges, _P_ORDER)
     _, gauss = tabulate(p[:, 1::2], w_gauss, phi[:, 1::2], table.p_max)
     change = np.abs(totals - gauss) / np.maximum(np.abs(totals), 1e-30)
-    if not np.all(change < _DOUBLING_TOLERANCE):
+    if not np.all(change < _KRONROD_TOLERANCE):
         raise AccuracyError(
             f"momentum grid failed the Gauss-Kronrod check for {cs.state.label} at "
             f"r0={r0}: relative Gauss-Kronrod differences {change}"

@@ -1,7 +1,7 @@
 """Quadrature rules and the Bessel kernel used by the radial solvers.
 
 numpy's Gauss-Legendre tables, the Gauss-Kronrod extension of those
-tables, the composite/mapped rules every integral in the package is built
+tables, the composite rules every integral in the package is built
 from, and the integer-order Bessel function J_m of the Hankel transform.
 The free-atom wavefunctions call scipy.special's classical polynomials
 directly.
@@ -35,13 +35,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Affinely map the rule to [a, b]; returns (nodes, weights)."""
-        if not b > a:
-            raise ValueError(f"empty interval [{a}, {b}]")
-        half = 0.5 * (b - a)
-        return a + half * (self.nodes + 1.0), half * self.weights
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +120,7 @@ def composite_rule(edges: np.ndarray, rule: QuadratureRule) -> tuple[np.ndarray,
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two panel edges")
-    if np.any(np.diff(edges) <= 0):
+    if not np.all(np.diff(edges) > 0):  # also rejects nan edges
         raise ValueError("panel edges must be strictly increasing")
     a = edges[:-1]
     half = 0.5 * np.diff(edges)

@@ -21,7 +21,7 @@ from hydrodisc.confined import (
 )
 from hydrodisc.fd_eigensolver import oracle_energy
 from hydrodisc.free_atom import StateLabel, free_energy, table1_states
-from hydrodisc.specfun import gauss_legendre
+from hydrodisc.specfun import composite_gauss
 
 STATES = tuple(table1_states())
 
@@ -150,7 +150,7 @@ def test_energy_minimum_is_locally_flat(solved_r2):
 def test_quadrature_order_is_converged():
     """The solved energy holds on a rule of twice the radial order."""
     for r0 in (0.05, 0.5, 2.0, 40.0):
-        rule = gauss_legendre(400).mapped(0.0, r0)
+        rule = composite_gauss(np.array([0.0, r0]), 400)
         for st in STATES:
             cs = solve(st, r0)
             e400 = energy_functional(st, r0, cs.alpha, rule, cs.weights)

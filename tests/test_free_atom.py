@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hydrodisc.free_atom import (
-    FreeMeasures,
     StateLabel,
     free_energy,
     free_measures,
@@ -84,6 +83,7 @@ def test_measures_match_exact_fractions():
     for st in table1_states():
         fm = free_measures(st)
         exact = EXACT[st.label]
+        assert fm.energy == free_energy(st)
         assert abs(fm.v_pos - exact["v_pos"]) < 1e-13 * (1 + exact["v_pos"])
         assert abs(fm.f_pos - exact["f_pos"]) < 1e-13 * (1 + exact["f_pos"])
         assert abs(fm.v_mom - exact["v_mom"]) < 1e-13
@@ -100,12 +100,6 @@ def test_cramer_rao_is_product():
         fm = free_measures(st)
         assert fm.cr_pos == fm.f_pos * fm.v_pos
         assert fm.cr_mom == fm.f_mom * fm.v_mom
-
-
-def test_from_parts_round_trip():
-    fm = FreeMeasures.from_parts(-2.0, 0.125, 16.0, 1.5326, 1.5)
-    assert fm.cr_pos == 2.0
-    assert fm.energy == -2.0
 
 
 def _closed_form_states(n_max):

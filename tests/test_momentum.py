@@ -231,7 +231,7 @@ def test_each_momentum_transformed_once(tables_r2, monkeypatch):
 def test_kronrod_check_failure_raises(tables_r2, monkeypatch):
     """A Gauss-Kronrod check nothing passes raises in the one pass, with no retransform."""
     cs, tab = tables_r2["1s"]
-    monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 0.0)
+    monkeypatch.setattr(momentum, "_KRONROD_TOLERANCE", 0.0)
     seen = _count_transformed(monkeypatch)
     with pytest.raises(AccuracyError, match="Gauss-Kronrod"):
         build_table(cs)
@@ -322,10 +322,10 @@ def test_order_two_transform_against_mpmath(r0):
             assert abs(h - float(ref)) < 1e-12 * np.max(np.abs(tab.phi))
 
 
-def test_doubling_tolerance_consistency(tables_r2, monkeypatch):
+def test_kronrod_tolerance_consistency(tables_r2, monkeypatch):
     """A stricter Gauss-Kronrod check leaves the moments unchanged."""
     cs, tab = tables_r2["2p"]
-    monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 1e-8)
+    monkeypatch.setattr(momentum, "_KRONROD_TOLERANCE", 1e-8)
     tab2 = build_table(cs)
     for k in (0, 1, 2):
         assert abs(tab2.moment(k) - tab.moment(k)) < 1e-5 * max(1.0, tab.moment(k))

@@ -128,7 +128,7 @@ def test_run_sweep_keeps_state_then_radius_order(monkeypatch):
 
 def test_evaluate_point_isolates_accuracy_failure(monkeypatch):
     # a Gauss-Kronrod check nothing passes makes build_table raise AccuracyError
-    monkeypatch.setattr(momentum, "_DOUBLING_TOLERANCE", 0.0)
+    monkeypatch.setattr(momentum, "_KRONROD_TOLERANCE", 0.0)
     row = evaluate_point(1, 0, 2.0)
     assert row.error is not None and row.error.startswith("momentum:")
     assert "," not in row.error and "\n" not in row.error

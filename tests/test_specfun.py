@@ -43,9 +43,13 @@ def test_composite_gauss_validates_edges():
     with pytest.raises(ValueError):
         composite_gauss(np.array([1.0]), 8)
     with pytest.raises(ValueError):
-        composite_gauss(np.array([2.0, 2.0]), 4)
-    with pytest.raises(ValueError):
         composite_gauss(np.array([0.0, np.nan]), 4)
+
+
+def test_mapped_rejects_empty_interval():
+    """A rule is never mapped onto an empty interval such as [2, 2]."""
+    with pytest.raises(ValueError):
+        composite_gauss(np.array([2.0, 2.0]), 4)
 
 
 def test_composite_rule_validates_edges():

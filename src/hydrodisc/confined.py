@@ -62,9 +62,11 @@ __all__ = [
     "solve",
     "coulomb_expectation",
     "MIN_WALL_RADIUS",
+    "MAX_WALL_RADIUS",
 ]
 
 MIN_WALL_RADIUS = 0.05
+MAX_WALL_RADIUS = 100.0  # the widest tested wall (see solve)
 _ALPHA_XATOL = 1e-10  # absolute alpha tolerance of the bounded Brent search
 _SCAN_POINTS = 25  # samples of E(alpha) over the scan range
 _SCAN_REACH = 8.0  # the scan covers alpha in [-reach/r0, reach/min(r0, eta)]
@@ -221,15 +223,6 @@ class ConfinedState:
         value, deriv = self.weights @ values, self.weights @ derivs
         return value.reshape(r.shape), deriv.reshape(r.shape)
 
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The radial rule (r, w) on [0, r0] the state was solved on."""
-        return radial_rule(self.r0)
-
-    def wall_slope(self) -> float:
-        """dR/dr at the wall, the coefficient driving the momentum tail."""
-        _, deriv = self.radial(np.asarray([self.r0]))
-        return float(deriv[0])
-
 
 def solve(state: StateLabel, r0: float) -> ConfinedState:
     """Minimize E(alpha) for one state and wall radius.
@@ -243,10 +236,16 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
     polish wins.  Each Brent step and the returned state take one scalar
     node_coefficients call.  ConvergenceError is raised when the lowest
     sample sits on the scan edge, or when an overlap of the scan or of a
-    Brent step is not positive definite.
+    Brent step is not positive definite.  ValueError is raised for r0
+    outside the tested range [MIN_WALL_RADIUS, MAX_WALL_RADIUS]: far beyond
+    it the radial rule no longer resolves the trial, and the solve returns
+    energies below the exact level with no error (2s by r0 ~ 2700, 2p by
+    r0 ~ 4400).
     """
-    if r0 < MIN_WALL_RADIUS:
-        raise ValueError(f"wall radius below supported minimum {MIN_WALL_RADIUS}: {r0}")
+    if not MIN_WALL_RADIUS <= r0 <= MAX_WALL_RADIUS:
+        raise ValueError(
+            f"wall radius outside the supported [{MIN_WALL_RADIUS}, {MAX_WALL_RADIUS}]: {r0}"
+        )
     rule = radial_rule(r0)
 
     def energy_at(alpha: float) -> float:
@@ -282,7 +281,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
 
 def coulomb_expectation(cs: ConfinedState) -> float:
     """<1/r> of the optimized state, for kinetic-energy consistency checks."""
-    r, w = cs.grid()
+    r, w = radial_rule(cs.r0)
     value, _ = cs.radial(r)
     return float(np.sum(w * value * value))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confined import ConfinedState
+from .confined import ConfinedState, radial_rule
 from .free_atom import (
     StateLabel,
     free_radial_momentum_wf,
@@ -113,7 +113,7 @@ def position_measures(cs: ConfinedState) -> MeasureReport:
     The m >= 1 states use the radial Fisher formula too, since the planar
     density carries no angular dependence.
     """
-    r, w = cs.grid()
+    r, w = radial_rule(cs.r0)
     return _radial_report("position", r, w, *cs.radial(r))
 
 
@@ -130,7 +130,7 @@ def _inverse_p_square(cs: ConfinedState) -> float:
     integrand is smooth.
     """
     m = cs.state.l
-    r, w = cs.grid()
+    r, w = radial_rule(cs.r0)
     inner_rule = gauss_legendre(_INNER_ORDER)
     half = 0.5 * r[:, None]
     s = half * (inner_rule.nodes[None, :] + 1.0)
@@ -151,7 +151,7 @@ def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureR
             f"momentum table of {table.state.label} at r0={table.r0} does not belong "
             f"to {cs.state.label} at r0={cs.r0}"
         )
-    r, w = cs.grid()
+    r, w = radial_rule(cs.r0)
     value, deriv = cs.radial(r)
     m_sq = float(cs.state.l**2)
     second = float(np.sum(w * (deriv * deriv + m_sq * value * value / (r * r)) * r))

@@ -33,11 +33,12 @@ is so small that, by Cauchy-Schwarz against Int H^2 p dp = 1, leaving it
 unresolved moves the norm by at most 2 W^(1/2) + W <= _WALL_TOLERANCE
 (see _p_edges).  Tight walls keep the cap throughout; wide walls, whose
 R'(r0) vanishes to rounding, keep it nowhere.  The grid of 25-point
-Gauss-Kronrod panels is extended an octave at a time, each octave
-transformed once at all its nodes, until the tail criteria on the tabulated
-moments hold.  The Kronrod moments are then checked once against those of
-the embedded 12-point Gauss rule, read from the Kronrod rule's odd nodes;
-the table stores the Kronrod values, so every momentum is transformed once.
+Gauss-Kronrod panels is extended an octave at a time, until the tail
+criteria on the tabulated moments hold: each octave the composite rule is
+formed over the whole edge list and only its new nodes are transformed.
+The Kronrod moments are then checked once against those of the embedded
+12-point Gauss rule, read from the Kronrod rule's odd nodes; the table
+stores the Kronrod values, so every momentum is transformed once.
 
 Beyond p_max the amplitude follows two known asymptotic sources.  The hard
 wall gives H(p) -> r0 R'(r0) J_m(p r0)/p^2 (J_m(x)^2 averaging to 1/(pi x)
@@ -221,7 +222,8 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     mass is below _TAIL_TOLERANCE.  Those moments are Int H^2 p^(k+1) dp
     for k = 0 (the norm) and k = 1 (<p>).  The k = 2 moment stays available
     but does not drive p_max: the measures take <p^2> from position space.
-    Each octave's panels are transformed once, at all their Kronrod nodes.
+    Each octave's panels are transformed once, at all their Kronrod nodes;
+    the earlier panels keep their values.
 
     The final panels are then checked once: the moments of the 12-point
     Gauss rule, read from the Kronrod rule's odd nodes, must agree with the
@@ -232,28 +234,21 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     eta = cs.state.eta
     r0 = cs.r0
     m = cs.state.l
-    slope = cs.wall_slope()
-    # R''(r0-) from the analytic derivative; the trial is smooth inside the wall
+    # R'(r0), R'(0), and R''(r0-) as a one-sided difference of the analytic derivative
+    # (the trial is smooth inside the wall)
     h = 1e-6 * r0
-    d_at = cs.radial(np.array([r0 - h, r0]))[1]
-    curvature = float((d_at[1] - d_at[0]) / h)
-    origin = -float(cs.radial(np.array([0.0]))[1][0]) if m == 0 else 0.0
+    deriv = cs.radial(np.array([r0 - h, r0, 0.0]))[1]
+    slope = float(deriv[1])
+    curvature = float((deriv[1] - deriv[0]) / h)
+    origin = -float(deriv[2]) if m == 0 else 0.0
     kronrod = gauss_kronrod(_P_ORDER)
 
     def wall_reach(mass):
         """The p at which the wall term's norm beyond p, W(p) = r0 R'(r0)^2/(3 pi p^3), is mass."""
         return (r0 * slope**2 / (3.0 * math.pi * mass)) ** (1.0 / 3.0)
 
-    def panels(edges):
-        """Kronrod nodes, weights and H on the panels between edges, as (panels, 25) arrays."""
-        p, w = composite_rule(edges, kronrod)
-        shape = (-1, kronrod.order)
-        return p.reshape(shape), w.reshape(shape), hankel_transform(cs, p).reshape(shape)
-
     def tabulate(p, w, phi, p_max):
-        table = RadialMomentumTable(
-            cs.state, r0, p.ravel(), phi.ravel(), w.ravel(), p_max, slope, curvature, origin
-        )
+        table = RadialMomentumTable(cs.state, r0, p, phi, w, p_max, slope, curvature, origin)
         return table, np.array([table.moment(0), table.moment(1)])
 
     # beyond p_wall the unresolved wall term moves the norm by <= _WALL_TOLERANCE (see _p_edges)
@@ -261,9 +256,13 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     p_cap = max(2.0**10 / (eta * min(1.0, r0)), 4.0 * wall_reach(_TAIL_TOLERANCE))
     # starter panel [0, p_min] keeps the mass below p_min (H(0) need not vanish)
     edges = np.concatenate([[0.0], _p_edges(r0, P_MIN, 20.0 / eta, p_wall)])
-    p, w, phi = panels(edges)
+    phi = np.empty(0)
     previous = np.inf  # so the first octave only extends the grid
     while True:
+        # the rule over all edges repeats the earlier panels' nodes bit for bit, so only
+        # the nodes of the newest panels (the starter grid, then each octave) are transformed
+        p, w = composite_rule(edges, kronrod)
+        phi = np.concatenate([phi, hankel_transform(cs, p[phi.size :])])
         table, totals = tabulate(p, w, phi, float(edges[-1]))
         tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
         tol[0] = _TAIL_TOLERANCE
@@ -279,15 +278,12 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
             )
         previous = totals
         new_edges = _p_edges(r0, table.p_max, min(2.0 * table.p_max, p_cap), p_wall)
-        p_new, w_new, phi_new = panels(new_edges)
         edges = np.concatenate([edges, new_edges[1:]])
-        p = np.concatenate([p, p_new])
-        w = np.concatenate([w, w_new])
-        phi = np.concatenate([phi, phi_new])
 
     # the Kronrod rule's odd nodes are the Gauss nodes, bit for bit
     _, w_gauss = composite_gauss(edges, _P_ORDER)
-    _, gauss = tabulate(p[:, 1::2], w_gauss, phi[:, 1::2], table.p_max)
+    p_gauss, phi_gauss = (a.reshape(-1, kronrod.order)[:, 1::2].ravel() for a in (p, phi))
+    _, gauss = tabulate(p_gauss, w_gauss, phi_gauss, table.p_max)
     change = np.abs(totals - gauss) / np.maximum(np.abs(totals), 1e-30)
     if not np.all(change < _KRONROD_TOLERANCE):
         raise AccuracyError(

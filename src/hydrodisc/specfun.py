@@ -1,8 +1,10 @@
 """Quadrature rules and the Bessel kernel used by the radial solvers.
 
 numpy's Gauss-Legendre tables, the Gauss-Kronrod extension of those
-tables, the composite rules every integral in the package is built
-from, and the integer-order Bessel function J_m of the Hankel transform.
+tables (computed from its definition: the Stieltjes polynomial's zeros
+and interpolatory weights, by numpy linear algebra), the composite rules
+every integral in the package is built from, and the integer-order Bessel
+function J_m of the Hankel transform.
 The free-atom wavefunctions call scipy.special's classical polynomials
 directly.
 """
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legroots, legvander
 from scipy import special as _sp
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadratureRule",
@@ -48,68 +49,38 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=w, order=order)
 
 
-def _kronrod_recurrence(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-matrix recurrence (a, b) of the Kronrod extension of Gauss-Legendre order n.
-
-    Laurie's algorithm (Math. Comp. 66 (1997) 1133), starting from the monic
-    Legendre recurrence a_k = 0, b_0 = 2, b_k = k^2/(4k^2 - 1); b_0 is the
-    weight's total mass and b_1..b_2n are the squared off-diagonals.
-    """
-    n = order
-    a = np.zeros(2 * n + 1)
-    b = np.zeros(2 * n + 1)
-    k = np.arange(1, (3 * n + 1) // 2 + 1, dtype=float)
-    b[0] = 2.0
-    b[1 : k.size + 1] = k * k / (4.0 * k * k - 1.0)
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        l = m - k
-        s[k + 1] = np.cumsum(
-            (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
-        )
-        s, t = t, s
-    j = np.arange(n // 2 + 1)
-    s[j + 1] = s[j]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        l = m - k
-        j = n - 1 - l
-        s[j + 1] = np.cumsum(
-            -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
-        )
-        j = j[-1]
-        k = (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    return a, b
-
-
 @lru_cache(maxsize=None)
 def gauss_kronrod(order: int) -> QuadratureRule:
     """(2 order + 1)-point Gauss-Kronrod extension of gauss_legendre(order).
 
-    Exact for polynomials of degree 3 order + 1 (even order) or 3 order + 2
-    (odd order).  The nodes are sorted; nodes[1::2] are the Gauss nodes,
+    With n = order, the rule keeps the n Gauss nodes and adds the n + 1
+    zeros of the Stieltjes polynomial E = P_(n+1) + Sum_(j<=n) c_j P_j,
+    defined by Int E P_n P_k dx = 0 for k = 0 .. n (Monegato, SIAM Rev. 24
+    (1982) 137); the weights make the rule interpolatory on its 2n + 1
+    nodes.  It is exact for polynomials of degree 3n + 1 (even n) or
+    3n + 2 (odd n).  The nodes are sorted; nodes[1::2] are the Gauss nodes,
     bit for bit those of gauss_legendre(order), so integrand values taken at
     the Gauss rule's nodes can be reused, and nodes[0::2] are the added
-    Kronrod nodes.  The Jacobi-matrix eigen-solve gives the rule to about
-    3e-16, so the rule is symmetrized and its Gauss nodes are overwritten.
+    Kronrod nodes.  The root-finding and the weight solve give the rule to
+    about 1e-15, so the rule is symmetrized and its Gauss nodes are
+    overwritten.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a, b = _kronrod_recurrence(order)
-    x, v = eigh_tridiagonal(a, np.sqrt(b[1:]))
-    w = b[0] * v[0] ** 2
+    n = order
+    gauss = gauss_legendre(order).nodes
+    # P_0 .. P_(n+1) on a Gauss rule exact through degree 4n + 3 > deg(E P_n P_k) = 3n + 1
+    t, u = leggauss(2 * n + 2)
+    legendre = legvander(t, n + 1)
+    tested = (u * legendre[:, n])[:, None] * legendre[:, : n + 1]  # u_i P_n(t_i) P_k(t_i)
+    c = np.linalg.solve(tested.T @ legendre[:, : n + 1], -tested.T @ legendre[:, n + 1])
+    x = np.sort(np.concatenate([gauss, legroots(np.append(c, 1.0))]))
+    moments = np.zeros(2 * n + 1)
+    moments[0] = 2.0
+    w = np.linalg.solve(legvander(x, 2 * n).T, moments)
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    x[1::2] = gauss_legendre(order).nodes
+    x[1::2] = gauss
     x.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(nodes=x, weights=w, order=2 * order + 1)

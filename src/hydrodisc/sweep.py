@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .confined import MIN_WALL_RADIUS, ConfinedState, ConvergenceError, solve
+from .confined import MAX_WALL_RADIUS, MIN_WALL_RADIUS, ConfinedState, ConvergenceError, solve
 from .free_atom import StateLabel, free_measures, table1_states
 from .measures import MeasureReport, momentum_measures, position_measures
 from .momentum import AccuracyError, RadialMomentumTable, build_table
@@ -90,6 +90,8 @@ class SweepConfig:
                 f"need {MIN_WALL_RADIUS} <= r0_min < r0_max < inf, "
                 f"got [{self.r0_min}, {self.r0_max}]"
             )
+        if self.r0_max > MAX_WALL_RADIUS:
+            raise ValueError(f"r0_max above the supported maximum {MAX_WALL_RADIUS}: {self.r0_max}")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
         if self.spacing not in ("log", "linear"):

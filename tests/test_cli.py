@@ -2,6 +2,7 @@
 
 import pytest
 
+from hydrodisc import confined
 from hydrodisc.cli import EXIT_INTERNAL, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from hydrodisc.confined import ConvergenceError
 from hydrodisc.sweep import CSV_HEADER, parse_csv, table1_text
@@ -124,16 +125,16 @@ def test_infinite_wall_radius_is_usage_error(tmp_path, capsys, source):
     assert not out.exists()
 
 
-def test_wide_wall_failure_is_isolated(tmp_path, capsys):
-    """r0 = 5000 ends on the scan edge and r0 = 1e4 fails the Ritz solve; both rows are written."""
+def test_wide_wall_failure_is_isolated(tmp_path, capsys, monkeypatch):
+    """A scan cut to reach alpha = 1 misses the 1s optimum at r0 = 50 and 100; both rows stay."""
+    monkeypatch.setattr(confined, "_SCAN_REACH", 0.5)
     out = tmp_path / "run"
-    code = main(["sweep", "--states", "1,0", "--r0-min", "5000", "--r0-max", "10000",
+    code = main(["sweep", "--states", "1,0", "--r0-min", "50", "--r0-max", "100",
                  "--points", "2", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     rows = parse_csv(str(out / "sweep.csv"))
-    assert [row.r0 for row in rows] == [5000.0, 10000.0]
-    assert all(row.error.startswith("solve:") for row in rows)
-    assert "Ritz solve failed for 1s at r0=10000.0" in rows[1].error
+    assert [row.r0 for row in rows] == [50.0, 100.0]
+    assert all(row.error.startswith("solve:") and "scan edge" in row.error for row in rows)
 
 
 def test_bad_spacing_reads_the_same_from_flag_and_config(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from hydrodisc import confined
 from hydrodisc.confined import (
+    MAX_WALL_RADIUS,
     MIN_WALL_RADIUS,
     ConvergenceError,
     energy_functional,
@@ -40,7 +41,7 @@ def test_wavefunction_vanishes_at_wall(solved_r2):
 
 def test_wavefunction_is_normalized(solved_r2):
     for cs in solved_r2.values():
-        r, w = cs.grid()
+        r, w = radial_rule(cs.r0)
         v, _ = cs.radial(r)
         assert abs(np.sum(w * v * v * r) - 1.0) < 1e-12
 
@@ -50,7 +51,7 @@ def test_weights_give_a_unit_norm_trial_positive_at_the_origin(r0):
     """The stored Ritz weights are normalized on the grid and signed so R > 0 near r = 0."""
     for st in STATES:
         cs = solve(st, r0)
-        r, w = cs.grid()
+        r, w = radial_rule(cs.r0)
         v, _ = cs.radial(r)
         assert abs(np.sum(w * v * v * r) - 1.0) < 1e-12
         near, _ = cs.radial(np.array([1e-3 * r0]))
@@ -104,7 +105,7 @@ def test_node_overlap_with_ground_state_is_small():
     """The 2s trial is nearly, though not exactly, orthogonal to the 1s."""
     cs1 = solve(StateLabel(1, 0), 3.0)
     cs2 = solve(StateLabel(2, 0), 3.0)
-    r, w = cs1.grid()
+    r, w = radial_rule(cs1.r0)
     v1, _ = cs1.radial(r)
     v2, _ = cs2.radial(r)
     assert abs(np.sum(w * v1 * v2 * r)) < 0.05
@@ -138,7 +139,7 @@ def test_alpha_tracks_first_order_wall_tilt():
 
 def test_energy_minimum_is_locally_flat(solved_r2):
     for cs in solved_r2.values():
-        rule = cs.grid()
+        rule = radial_rule(cs.r0)
         e0 = energy_functional(cs.state, cs.r0, cs.alpha, rule, cs.weights)
         for delta in (-0.02, 0.02):
             e1 = energy_functional(
@@ -168,21 +169,24 @@ def test_wall_slope_matches_fd():
     cs = solve(StateLabel(2, 1), 2.0)
     h = 1e-7
     v, _ = cs.radial(np.array([cs.r0 - h]))
-    assert abs(cs.wall_slope() - (0.0 - v[0]) / h) < 1e-5 * abs(cs.wall_slope())
+    slope = cs.radial([cs.r0])[1][0]
+    assert abs(slope - (0.0 - v[0]) / h) < 1e-5 * abs(slope)
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        solve(StateLabel(1, 0), 0.5 * MIN_WALL_RADIUS)
+    for r0 in (0.5 * MIN_WALL_RADIUS, 1.5 * MAX_WALL_RADIUS, math.nan):
+        with pytest.raises(ValueError, match="supported"):
+            solve(StateLabel(1, 0), r0)
     with pytest.raises(ValueError, match="3 Ritz weights"):
         energy_functional(StateLabel(2, 0), 2.0, 1.0, radial_rule(2.0), (1.0, 0.0))
     assert issubclass(ConvergenceError, RuntimeError)
 
 
 def test_singular_overlap_is_a_convergence_error():
-    """At r0 = 1e4 the 1s overlap matrix is not positive definite on the radial rule."""
+    """At r0 = 1e4, beyond the supported walls, the 1s scan overlaps are not positive definite."""
+    st = StateLabel(1, 0)
     with pytest.raises(ConvergenceError, match=r"Ritz solve failed for 1s at r0=10000\.0"):
-        solve(StateLabel(1, 0), 1e4)
+        node_coefficients(st, 1e4, _scan_alphas(st, 1e4), radial_rule(1e4))
 
 
 def _scan_alphas(st, r0):
@@ -296,7 +300,7 @@ def test_solve_finds_the_family_optimum(n, m, r0):
 def test_energy_is_the_rayleigh_quotient_of_the_state(solved_r2):
     """The Ritz eigenvalue solve reports equals the independent functional."""
     for cs in solved_r2.values():
-        e = energy_functional(cs.state, cs.r0, cs.alpha, cs.grid(), cs.weights)
+        e = energy_functional(cs.state, cs.r0, cs.alpha, radial_rule(cs.r0), cs.weights)
         assert cs.energy == pytest.approx(e, rel=1e-12, abs=0.0)
 
 
@@ -310,9 +314,9 @@ def test_optimum_outside_the_scan_is_an_error(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(
     nm=hst.integers(1, 3).flatmap(lambda n: hst.tuples(hst.just(n), hst.integers(0, n - 1))),
-    r0=hst.floats(MIN_WALL_RADIUS, 80.0),
+    r0=hst.floats(MIN_WALL_RADIUS, MAX_WALL_RADIUS),
 )
 def test_supported_domain_solves_above_the_exact_level(nm, r0):
-    """Every state with n <= 3 solves at every supported wall radius up to 80."""
+    """Every state with n <= 3 solves at every supported wall radius."""
     st = StateLabel(*nm)
     assert solve(st, r0).energy >= oracle_energy(st, r0) - 1e-9

@@ -60,25 +60,69 @@ def test_composite_rule_validates_edges():
         composite_rule(np.array([1.0]), rule)
 
 
-def test_gauss_kronrod_structure():
-    """25 increasing nodes in (-1, 1), positive weights, the Gauss nodes bit for bit."""
-    rule = gauss_kronrod(12)
-    assert rule.order == 25 and rule.nodes.size == 25 and rule.weights.size == 25
+KRONROD_ORDERS = [1, 2, 3, 4, 7, 12, 20, 30]
+
+
+@pytest.mark.parametrize("n", KRONROD_ORDERS)
+def test_gauss_kronrod_structure(n):
+    """2n + 1 increasing nodes in (-1, 1), positive weights, the Gauss nodes bit for bit."""
+    rule = gauss_kronrod(n)
+    assert rule.order == 2 * n + 1 and rule.nodes.size == rule.weights.size == 2 * n + 1
     assert np.all(np.diff(rule.nodes) > 0)
     assert -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
     assert np.all(rule.weights > 0)
-    assert np.all(rule.nodes[1::2] == gauss_legendre(12).nodes)
+    assert np.all(rule.nodes[1::2] == gauss_legendre(n).nodes)
     with pytest.raises(ValueError):
         gauss_kronrod(0)
 
 
-def test_gauss_kronrod_polynomial_exactness():
-    """The 25-point extension of the 12-point rule is exact through degree 37, not 38."""
-    rule = gauss_kronrod(12)
-    for deg in range(38):
+@pytest.mark.parametrize("n", KRONROD_ORDERS)
+def test_gauss_kronrod_polynomial_exactness(n):
+    """The extension is exact through degree 3n + 1 (even n) or 3n + 2 (odd n); n = 12 not at 38."""
+    rule = gauss_kronrod(n)
+    for deg in range(3 * n + 2 + n % 2):
         exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
         assert abs(np.sum(rule.weights * rule.nodes**deg) - exact) < 1e-14
-    assert abs(np.sum(rule.weights * rule.nodes**38) - 2.0 / 39) > 1e-14
+    if n == 12:
+        assert abs(np.sum(rule.weights * rule.nodes**38) - 2.0 / 39) > 1e-14
+
+
+def test_gauss_kronrod_against_mpmath():
+    """The 25-point rule solved from its definition in 30-digit mpmath agrees to 2e-15.
+
+    The Stieltjes polynomial E = x^13 + Sum c_j x^j (odd powers only) is
+    orthogonal to P_12(x) x^k for k = 0 .. 12, the moments taken exactly
+    from the monomial coefficients of P_12; its zeros are the added nodes,
+    and the weights solve Sum_i w_i x_i^k = Int x^k dx for k = 0 .. 24.
+    """
+    mp = pytest.importorskip("mpmath")
+    n = 12
+    with mp.workdps(30):
+        p12 = mp.taylor(lambda t: mp.legendre(n, t), 0, n)  # monomial coefficients of P_12
+
+        def moment(k):  # Int_-1^1 P_12(x) x^k dx
+            return sum(c * 2 / mp.mpf(j + k + 1) for j, c in enumerate(p12) if (j + k) % 2 == 0)
+
+        powers = range(1, n + 1, 2)  # the odd powers below x^13 that E may carry
+        rows = range(1, n + 1, 2)  # even k give 0 = 0 by parity
+        c = mp.lu_solve(
+            mp.matrix([[moment(j + k) for j in powers] for k in rows]),
+            mp.matrix([-moment(n + 1 + k) for k in rows]),
+        )
+        stieltjes = [mp.mpf(1)] + [mp.mpf(0)] * (n + 1)  # descending coefficients of E
+        for j, cj in zip(powers, c):
+            stieltjes[n + 1 - j] = cj
+        added = [mp.re(z) for z in mp.polyroots(stieltjes, maxsteps=200, extraprec=60)]
+        nodes = sorted(added + [mp.mpf(x) for x in gauss_legendre(n).nodes])
+        weights = mp.lu_solve(
+            mp.matrix([[x**k for x in nodes] for k in range(2 * n + 1)]),
+            mp.matrix([2 / mp.mpf(k + 1) if k % 2 == 0 else 0 for k in range(2 * n + 1)]),
+        )
+        nodes = np.array(nodes, dtype=float)
+        weights = np.array(weights.tolist(), dtype=float).ravel()
+    rule = gauss_kronrod(n)
+    assert np.max(np.abs(rule.nodes - nodes)) <= 2e-15
+    assert np.max(np.abs(rule.weights - weights)) <= 2e-15
 
 
 def test_composite_rule_reuses_gauss_nodes():

@@ -272,6 +272,8 @@ def test_config_validation():
     for lo, hi in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError, match="< inf"):
             SweepConfig(r0_min=lo, r0_max=hi)
+    with pytest.raises(ValueError, match="supported maximum"):
+        SweepConfig(r0_max=150.0)
     with pytest.raises(ValueError, match="points"):
         SweepConfig(points=1)
     with pytest.raises(ValueError, match="spacing"):

@@ -19,7 +19,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
@@ -30,6 +29,7 @@ from .measures import (
     free_momentum_report,
     free_position_report,
 )
+from .specfun import brent_root
 from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
 
 __all__ = ["run_all", "CRITERIA"]
@@ -62,7 +62,7 @@ def _brackets(r, diff) -> list[tuple[float, float]]:
 def _locate(f, r) -> list[float]:
     """Sign changes of f on the grid r, each refined by Brent's method to 1e-4."""
     brackets = _brackets(r, [f(float(x)) for x in r])
-    return [brentq(f, lo, hi, xtol=1e-4) for lo, hi in brackets]
+    return [brent_root(f, lo, hi, xtol=1e-4) for lo, hi in brackets]
 
 
 def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:

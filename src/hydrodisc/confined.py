@@ -36,10 +36,10 @@ trial that vanishes at the wall, so every alpha gives an upper bound, and
 in tight walls the optimum of some states (2p, 2s) has alpha < 0, an
 envelope growing toward the wall.  E(alpha) is sampled over one signed
 range and every interior local minimum of the samples is polished by
-bounded Brent search.  node_coefficients is the one Ritz solve: it takes a
-scalar alpha or a 1-D array of them, so the scan samples come from one
-stacked call and every Brent step and the final state from scalar calls
-of the same arithmetic.
+Brent's bounded minimum search (specfun.brent_minimum).  node_coefficients
+is the one Ritz solve: it takes a scalar alpha or a 1-D array of them, so
+the scan samples come from one stacked call and every Brent step and the
+final state from scalar calls of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .free_atom import StateLabel
-from .specfun import composite_gauss
+from .specfun import brent_minimum, composite_gauss
 
 __all__ = [
     "ConvergenceError",
@@ -231,16 +230,16 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
     the trial's weights.  E(alpha) is sampled at _SCAN_POINTS evenly spaced
     alpha in [-_SCAN_REACH/r0, _SCAN_REACH/min(r0, eta)], all in one stacked
     node_coefficients call, and every interior local minimum of the samples
-    is polished by bounded Brent search over its two neighbouring cells,
-    because E(alpha) can have two basins (2s in tight walls); the lowest
-    polish wins.  Each Brent step and the returned state take one scalar
+    is polished by brent_minimum over its two neighbouring cells, because
+    E(alpha) can have two basins (2s in tight walls); the lowest polish
+    wins.  Each Brent step and the returned state take one scalar
     node_coefficients call.  ConvergenceError is raised when the lowest
-    sample sits on the scan edge, or when an overlap of the scan or of a
-    Brent step is not positive definite.  ValueError is raised for r0
-    outside the tested range [MIN_WALL_RADIUS, MAX_WALL_RADIUS]: far beyond
-    it the radial rule no longer resolves the trial, and the solve returns
-    energies below the exact level with no error (2s by r0 ~ 2700, 2p by
-    r0 ~ 4400).
+    sample sits on the scan edge, when an overlap of the scan or of a Brent
+    step is not positive definite, or when a polish takes 500 evaluations
+    without settling.  ValueError is raised for r0 outside the tested range
+    [MIN_WALL_RADIUS, MAX_WALL_RADIUS]: far beyond it the radial rule no
+    longer resolves the trial, and the solve returns energies below the
+    exact level with no error (2s by r0 ~ 2700, 2p by r0 ~ 4400).
     """
     if not MIN_WALL_RADIUS <= r0 <= MAX_WALL_RADIUS:
         raise ValueError(
@@ -261,20 +260,18 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
     best = None
     for i in range(1, _SCAN_POINTS - 1):
         if energies[i] <= min(energies[i - 1], energies[i + 1]):
-            res = minimize_scalar(
-                energy_at,
-                bounds=(alphas[i - 1], alphas[i + 1]),
-                method="bounded",
-                options={"xatol": _ALPHA_XATOL},
-            )
-            if not res.success:
+            try:
+                polish = brent_minimum(energy_at, alphas[i - 1], alphas[i + 1], _ALPHA_XATOL)
+            except ConvergenceError:
+                raise
+            except RuntimeError as exc:
                 raise ConvergenceError(
-                    f"bounded minimization failed for {state.label} at r0={r0}: {res.message}"
-                )
-            if best is None or res.fun < best.fun:
-                best = res
+                    f"bounded minimization failed for {state.label} at r0={r0}: {exc}"
+                ) from exc
+            if best is None or polish[1] < best[1]:
+                best = polish
 
-    alpha = float(best.x)
+    alpha = float(best[0])
     energy, weights = node_coefficients(state, r0, alpha, rule)
     return ConfinedState(state, r0, alpha, float(energy), tuple(weights.tolist()))
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
 from .free_atom import StateLabel, free_energy
+from .specfun import brent_root
 
 __all__ = ["oracle_energy"]
 
@@ -50,8 +50,8 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
     free level (confinement only raises it) and at pi^2 (n_r + 1 + |m|/2)^2
     / (2 r0^2), above the empty-disc level j_{|m|,n_r+1}^2 / (2 r0^2) (the
     Coulomb well only lowers it).  It is halved by node count until exactly
-    one level lies inside, which Brent's method then finds.  RuntimeError if
-    the bracket shrinks to rounding first.
+    one level lies inside, which Brent's method (specfun.brent_root) then
+    finds.  RuntimeError if the bracket shrinks to rounding first.
     """
     if r0 <= 0.0:
         raise ValueError(f"wall radius must be positive, got {r0}")
@@ -68,7 +68,7 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
             lo, nodes_lo = mid, nodes
         else:
             hi, nodes_hi = mid, nodes
-    return brentq(_radial, lo, hi, args=(m, r0, 1.0), xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return brent_root(lambda energy: _radial(energy, m, r0, 1.0), lo, hi, xtol=1e-15)
 
 
 def _radial(energy: float, m: int, r0: float, x):

@@ -1,18 +1,21 @@
-"""Quadrature rules and the Bessel kernel used by the radial solvers.
+"""Quadrature rules, the Bessel kernel and the scalar root and minimum searches.
 
 numpy's Gauss-Legendre tables, the Gauss-Kronrod extension of those
 tables (computed from its definition: the Stieltjes polynomial's zeros
 and interpolatory weights, by numpy linear algebra), the composite rules
-every integral in the package is built from, and the integer-order Bessel
-function J_m of the Hankel transform.
+every integral in the package is built from, the integer-order Bessel
+function J_m of the Hankel transform, and Brent's root and bounded minimum
+searches (R. P. Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4-5).
 The free-atom wavefunctions call scipy.special's classical polynomials
-directly.
+directly.  scipy.special is the only part of scipy the package imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legroots, legvander
@@ -26,6 +29,8 @@ __all__ = [
     "composite_rule",
     "semi_axis_rule",
     "bessel_j",
+    "brent_root",
+    "brent_minimum",
 ]
 
 
@@ -154,3 +159,130 @@ def bessel_j(m: int, z):
     else:
         out = _sp.jv(m, z)
     return float(out) if out.ndim == 0 else out
+
+
+_ROOT_RTOL = 4 * np.finfo(float).eps  # scipy brentq's default and smallest rtol
+_ROOT_MAXITER = 100
+_MINIMUM_MAXFUN = 500
+
+
+def brent_root(f, lo: float, hi: float, xtol: float, rtol: float = _ROOT_RTOL) -> float:
+    """Zero of f in [lo, hi] by Brent's zeroin, to xtol + rtol |x|.
+
+    The arithmetic follows scipy's brentq (its brentq.c) step for step, so
+    the two return the same double: inverse quadratic or secant steps while
+    they shrink the bracket fast enough, bisection otherwise.  ValueError
+    when f(lo) and f(hi) have the same sign or f returns nan; RuntimeError
+    after 100 iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))  # numpy scalar arithmetic in the loop would be slower, not different
+        if fx != fx:
+            raise ValueError(f"f({x}) is nan")
+        return fx
+
+    xpre, xcur = lo, hi
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({lo}) and f({hi}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brent_root did not converge in {_ROOT_MAXITER} iterations")
+
+
+def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float, int]:
+    """Minimum of f on [a, b] by Brent's bounded search: (x, f(x), evaluations).
+
+    Golden-section steps, replaced by parabolic ones through the three best
+    points xf, nfc, fulc while those fall inside the bracket and shrink it;
+    the search stops when the bracket around the best point xf is within
+    2 (sqrt(eps) |xf| + xatol/3) of it.  The arithmetic and the evaluation
+    order are those of scipy's minimize_scalar(method="bounded"), so the two
+    return the same doubles.  RuntimeError after 500 evaluations or on a nan
+    value.
+    """
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = fu = f(xf)
+    num = 1
+    rat = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabola = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabola = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabola:
+            rat = p / q
+            x = xf + rat
+            if x - a < tol2 or b - x < tol2:  # too close to a bound: step tol1 toward the middle
+                rat = tol1 if xm >= xf else -tol1
+        else:  # golden section of the larger side
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= _MINIMUM_MAXFUN:
+            raise RuntimeError(f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations")
+    if xf != xf or fx != fx or fu != fu:
+        raise RuntimeError(f"brent_minimum met a nan value near x = {xf}")
+    return xf, fx, num

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
-from hydrodisc import confined
+from hydrodisc import confined, specfun
 from hydrodisc.confined import (
     MAX_WALL_RADIUS,
     MIN_WALL_RADIUS,
@@ -231,25 +231,32 @@ def test_scan_makes_no_single_ritz_solve(monkeypatch):
     st, r0 = StateLabel(2, 0), 2.0
     calls = []
     brent_evaluations = []
-    original_ritz, original_brent = confined.node_coefficients, confined.minimize_scalar
+    original_ritz, original_brent = confined.node_coefficients, confined.brent_minimum
 
     def recording_ritz(state, r0, alpha, rule):
         calls.append(alpha)
         return original_ritz(state, r0, alpha, rule)
 
-    def recording_brent(*args, **kwargs):
-        res = original_brent(*args, **kwargs)
-        brent_evaluations.append(res.nfev)
-        return res
+    def recording_brent(*args):
+        polish = original_brent(*args)
+        brent_evaluations.append(polish[2])
+        return polish
 
     monkeypatch.setattr(confined, "node_coefficients", recording_ritz)
-    monkeypatch.setattr(confined, "minimize_scalar", recording_brent)
+    monkeypatch.setattr(confined, "brent_minimum", recording_brent)
     cs = solve(st, r0)
     assert np.array_equal(calls[0], _scan_alphas(st, r0))
     assert brent_evaluations
     assert len(calls) == 1 + sum(brent_evaluations) + 1
     assert all(np.ndim(alpha) == 0 for alpha in calls[1:])
     assert calls[-1] == cs.alpha
+
+
+def test_unsettled_polish_is_a_convergence_error(monkeypatch):
+    """A Brent polish that runs out of evaluations is reported as ConvergenceError."""
+    monkeypatch.setattr(specfun, "_MINIMUM_MAXFUN", 3)
+    with pytest.raises(ConvergenceError, match="bounded minimization failed .* 3 evaluations"):
+        solve(StateLabel(2, 0), 2.0)
 
 
 def test_negative_alpha_is_an_upper_bound():
@@ -289,7 +296,20 @@ def _dense_scan_minimum(st, r0):
 
 @pytest.mark.parametrize(
     "n, m, r0",
-    [(2, 1, 0.5), (2, 1, 0.98), (2, 0, 2.15), (2, 0, 2.41), (3, 2, 0.5), (3, 2, 5.29)],
+    [
+        (2, 1, 0.5),
+        (2, 1, 0.98),
+        (2, 0, 2.15),
+        (2, 0, 2.41),
+        (3, 2, 0.5),
+        (3, 2, 5.29),
+        # the 25-sample scan puts no local minimum in the narrow lower basin
+        # near alpha ~ 0.16-0.26, so the polish settles in the upper one
+        pytest.param(
+            2, 0, 3.475, marks=pytest.mark.xfail(strict=True, reason="misses by 5.2e-5 Ha")
+        ),
+        pytest.param(3, 2, 7.5, marks=pytest.mark.xfail(strict=True, reason="misses by 1.3e-4 Ha")),
+    ],
 )
 def test_solve_finds_the_family_optimum(n, m, r0):
     """solve reaches the lowest energy of its trial family, alpha < 0 included."""

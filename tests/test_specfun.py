@@ -1,19 +1,25 @@
-"""Quadrature rules and the Bessel kernel."""
+"""Quadrature rules, the Bessel kernel and the Brent searches."""
 
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq, minimize_scalar
 
+from hydrodisc import confined, fd_eigensolver
+from hydrodisc.free_atom import StateLabel
 from hydrodisc.specfun import (
     bessel_j,
+    brent_minimum,
+    brent_root,
     composite_gauss,
     composite_rule,
     gauss_kronrod,
     gauss_legendre,
     semi_axis_rule,
 )
+from hydrodisc.sweep import DEFAULT_STATES, SweepConfig, radii
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -212,3 +218,54 @@ def test_bessel_domain_errors():
         bessel_j(0, np.array([-0.1]))
     with pytest.raises(ValueError):
         bessel_j(2, np.array([70.0, -1.0]))
+
+
+def test_brent_root_matches_brentq_on_the_oracle(monkeypatch):
+    """Every oracle_energy bracket of the default sweep grid gives brentq's double."""
+    roots = []
+
+    def compared(f, lo, hi, xtol, rtol=4 * np.finfo(float).eps):
+        root = brent_root(f, lo, hi, xtol, rtol)
+        assert root == brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(fd_eigensolver, "brent_root", compared)
+    for n, m in DEFAULT_STATES:
+        for r0 in radii(SweepConfig()):
+            fd_eigensolver.oracle_energy(StateLabel(n, m), float(r0))
+    assert len(roots) == len(DEFAULT_STATES) * SweepConfig().points
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, root",
+    [(math.cos, 1.0, 2.0, 0.5 * math.pi), (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1 / 3))],
+)
+@pytest.mark.parametrize("xtol", [1e-15, 1e-4])
+def test_brent_root_closed_form(f, lo, hi, root, xtol):
+    got = brent_root(f, lo, hi, xtol)
+    assert got == brentq(f, lo, hi, xtol=xtol)
+    assert abs(got - root) <= xtol + 4 * np.finfo(float).eps * abs(root)
+
+
+def test_brent_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("r0", [0.5, 6.0, 40.0])
+def test_brent_minimum_matches_minimize_scalar(monkeypatch, r0):
+    """Each polish of solve gives scipy's bounded minimum: same x, f(x) and evaluation count."""
+    polishes = []
+
+    def compared(f, a, b, xatol):
+        x, fx, evaluations = brent_minimum(f, a, b, xatol)
+        res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
+        assert (x, fx, evaluations) == (res.x, res.fun, res.nfev)
+        polishes.append(evaluations)
+        return x, fx, evaluations
+
+    monkeypatch.setattr(confined, "brent_minimum", compared)
+    for n, m in DEFAULT_STATES:
+        confined.solve(StateLabel(n, m), r0)
+    assert len(polishes) >= 4

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_atom import StateLabel
-from .specfun import brent_minimum, composite_gauss
+from .specfun import SearchError, brent_minimum, composite_gauss
 
 __all__ = [
     "ConvergenceError",
@@ -262,9 +262,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
         if energies[i] <= min(energies[i - 1], energies[i + 1]):
             try:
                 polish = brent_minimum(energy_at, alphas[i - 1], alphas[i + 1], _ALPHA_XATOL)
-            except ConvergenceError:
-                raise
-            except RuntimeError as exc:
+            except SearchError as exc:
                 raise ConvergenceError(
                     f"bounded minimization failed for {state.label} at r0={r0}: {exc}"
                 ) from exc

@@ -31,6 +31,7 @@ __all__ = [
     "bessel_j",
     "brent_root",
     "brent_minimum",
+    "SearchError",
 ]
 
 
@@ -166,13 +167,17 @@ _ROOT_MAXITER = 100
 _MINIMUM_MAXFUN = 500
 
 
-def brent_root(f, lo: float, hi: float, xtol: float, rtol: float = _ROOT_RTOL) -> float:
-    """Zero of f in [lo, hi] by Brent's zeroin, to xtol + rtol |x|.
+class SearchError(RuntimeError):
+    """A Brent search that did not settle: brent_root or brent_minimum ran out of steps."""
+
+
+def brent_root(f, lo: float, hi: float, xtol: float) -> float:
+    """Zero of f in [lo, hi] by Brent's zeroin, to xtol + 4 eps |x|.
 
     The arithmetic follows scipy's brentq (its brentq.c) step for step, so
     the two return the same double: inverse quadratic or secant steps while
     they shrink the bracket fast enough, bisection otherwise.  ValueError
-    when f(lo) and f(hi) have the same sign or f returns nan; RuntimeError
+    when f(lo) and f(hi) have the same sign or f returns nan; SearchError
     after 100 iterations.
     """
 
@@ -198,7 +203,7 @@ def brent_root(f, lo: float, hi: float, xtol: float, rtol: float = _ROOT_RTOL) -
         if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -221,18 +226,18 @@ def brent_root(f, lo: float, hi: float, xtol: float, rtol: float = _ROOT_RTOL) -
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"brent_root did not converge in {_ROOT_MAXITER} iterations")
+    raise SearchError(f"brent_root did not converge in {_ROOT_MAXITER} iterations")
 
 
-def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float, int]:
-    """Minimum of f on [a, b] by Brent's bounded search: (x, f(x), evaluations).
+def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum of f on [a, b] by Brent's bounded search: (x, f(x)).
 
     Golden-section steps, replaced by parabolic ones through the three best
     points xf, nfc, fulc while those fall inside the bracket and shrink it;
     the search stops when the bracket around the best point xf is within
     2 (sqrt(eps) |xf| + xatol/3) of it.  The arithmetic and the evaluation
     order are those of scipy's minimize_scalar(method="bounded"), so the two
-    return the same doubles.  RuntimeError after 500 evaluations or on a nan
+    return the same doubles.  SearchError after 500 evaluations or on a nan
     value.
     """
     sqrt_eps = sqrt(2.2e-16)
@@ -282,7 +287,7 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float, in
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         if num >= _MINIMUM_MAXFUN:
-            raise RuntimeError(f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations")
+            raise SearchError(f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations")
     if xf != xf or fx != fx or fu != fu:
-        raise RuntimeError(f"brent_minimum met a nan value near x = {xf}")
-    return xf, fx, num
+        raise SearchError(f"brent_minimum met a nan value near x = {xf}")
+    return xf, fx

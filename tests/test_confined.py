@@ -237,17 +237,20 @@ def test_scan_makes_no_single_ritz_solve(monkeypatch):
         calls.append(alpha)
         return original_ritz(state, r0, alpha, rule)
 
-    def recording_brent(*args):
-        polish = original_brent(*args)
-        brent_evaluations.append(polish[2])
-        return polish
+    def recording_brent(f, *args):
+        def counted(alpha):
+            brent_evaluations.append(alpha)
+            return f(alpha)
+
+        return original_brent(counted, *args)
 
     monkeypatch.setattr(confined, "node_coefficients", recording_ritz)
     monkeypatch.setattr(confined, "brent_minimum", recording_brent)
     cs = solve(st, r0)
     assert np.array_equal(calls[0], _scan_alphas(st, r0))
     assert brent_evaluations
-    assert len(calls) == 1 + sum(brent_evaluations) + 1
+    assert len(calls) == 1 + len(brent_evaluations) + 1
+    assert calls[1:-1] == brent_evaluations
     assert all(np.ndim(alpha) == 0 for alpha in calls[1:])
     assert calls[-1] == cs.alpha
 

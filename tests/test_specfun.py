@@ -224,9 +224,9 @@ def test_brent_root_matches_brentq_on_the_oracle(monkeypatch):
     """Every oracle_energy bracket of the default sweep grid gives brentq's double."""
     roots = []
 
-    def compared(f, lo, hi, xtol, rtol=4 * np.finfo(float).eps):
-        root = brent_root(f, lo, hi, xtol, rtol)
-        assert root == brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+    def compared(f, lo, hi, xtol):
+        root = brent_root(f, lo, hi, xtol)
+        assert root == brentq(f, lo, hi, xtol=xtol)
         roots.append(root)
         return root
 
@@ -258,12 +258,23 @@ def test_brent_minimum_matches_minimize_scalar(monkeypatch, r0):
     """Each polish of solve gives scipy's bounded minimum: same x, f(x) and evaluation count."""
     polishes = []
 
+    def counted(f, points):
+        def g(x):
+            points.append(x)
+            return f(x)
+
+        return g
+
     def compared(f, a, b, xatol):
-        x, fx, evaluations = brent_minimum(f, a, b, xatol)
-        res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
-        assert (x, fx, evaluations) == (res.x, res.fun, res.nfev)
-        polishes.append(evaluations)
-        return x, fx, evaluations
+        ours, theirs = [], []
+        x, fx = brent_minimum(counted(f, ours), a, b, xatol)
+        res = minimize_scalar(
+            counted(f, theirs), bounds=(a, b), method="bounded", options={"xatol": xatol}
+        )
+        assert (x, fx, len(ours)) == (res.x, res.fun, res.nfev)
+        assert ours == theirs
+        polishes.append(len(ours))
+        return x, fx
 
     monkeypatch.setattr(confined, "brent_minimum", compared)
     for n, m in DEFAULT_STATES:

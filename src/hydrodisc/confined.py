@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_atom import StateLabel
-from .specfun import SearchError, brent_minimum, composite_gauss
+from .specfun import ConvergenceError, brent_minimum, composite_gauss
 
 __all__ = [
     "ConvergenceError",
@@ -70,10 +70,6 @@ _ALPHA_XATOL = 1e-10  # absolute alpha tolerance of the bounded Brent search
 _SCAN_POINTS = 25  # samples of E(alpha) over the scan range
 _SCAN_REACH = 8.0  # the scan covers alpha in [-reach/r0, reach/min(r0, eta)]
 _RADIAL_ORDER = 200  # Gauss-Legendre nodes of the radial rule on [0, r0]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the variational minimizer fails to settle."""
 
 
 def radial_rule(r0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +231,12 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
     wins.  Each Brent step and the returned state take one scalar
     node_coefficients call.  ConvergenceError is raised when the lowest
     sample sits on the scan edge, when an overlap of the scan or of a Brent
-    step is not positive definite, or when a polish takes 500 evaluations
-    without settling.  ValueError is raised for r0 outside the tested range
-    [MIN_WALL_RADIUS, MAX_WALL_RADIUS]: far beyond it the radial rule no
-    longer resolves the trial, and the solve returns energies below the
-    exact level with no error (2s by r0 ~ 2700, 2p by r0 ~ 4400).
+    step is not positive definite, and brent_minimum raises it when a polish
+    takes 500 evaluations without settling or meets a nan energy.
+    ValueError is raised for r0 outside the tested range [MIN_WALL_RADIUS,
+    MAX_WALL_RADIUS]: far beyond it the radial rule no longer resolves the
+    trial, and the solve returns energies below the exact level with no
+    error (2s by r0 ~ 2700, 2p by r0 ~ 4400).
     """
     if not MIN_WALL_RADIUS <= r0 <= MAX_WALL_RADIUS:
         raise ValueError(
@@ -260,12 +257,7 @@ def solve(state: StateLabel, r0: float) -> ConfinedState:
     best = None
     for i in range(1, _SCAN_POINTS - 1):
         if energies[i] <= min(energies[i - 1], energies[i + 1]):
-            try:
-                polish = brent_minimum(energy_at, alphas[i - 1], alphas[i + 1], _ALPHA_XATOL)
-            except SearchError as exc:
-                raise ConvergenceError(
-                    f"bounded minimization failed for {state.label} at r0={r0}: {exc}"
-                ) from exc
+            polish = brent_minimum(energy_at, alphas[i - 1], alphas[i + 1], _ALPHA_XATOL)
             if best is None or polish[1] < best[1]:
                 best = polish
 

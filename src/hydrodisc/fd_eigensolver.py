@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import hyp1f1
 
 from .free_atom import StateLabel, free_energy
-from .specfun import brent_root
+from .specfun import ConvergenceError, brent_root
 
 __all__ = ["oracle_energy"]
 
@@ -51,10 +51,11 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
     / (2 r0^2), above the empty-disc level j_{|m|,n_r+1}^2 / (2 r0^2) (the
     Coulomb well only lowers it).  It is halved by node count until exactly
     one level lies inside, which Brent's method (specfun.brent_root) then
-    finds.  RuntimeError if the bracket shrinks to rounding first.
+    finds.  ValueError unless 0 < r0 < inf; ConvergenceError if the bracket
+    shrinks to rounding first or if Brent's search does not settle.
     """
-    if r0 <= 0.0:
-        raise ValueError(f"wall radius must be positive, got {r0}")
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"wall radius must be positive and finite, got {r0}")
     m, n_r = state.l, state.n_r
     lo = free_energy(state)
     hi = 0.5 * (math.pi * (n_r + 1 + 0.5 * m) / r0) ** 2
@@ -62,7 +63,7 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
     while nodes_lo < n_r or nodes_hi > n_r + 1:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            raise RuntimeError(f"no {state.label} level isolated by node count at r0={r0}")
+            raise ConvergenceError(f"no {state.label} level isolated by node count at r0={r0}")
         nodes = _nodes(m, r0, mid)
         if nodes <= n_r:
             lo, nodes_lo = mid, nodes

@@ -71,14 +71,6 @@ class StateLabel:
         return self.n - self.l - 1
 
     @property
-    def is_ns(self) -> bool:
-        return self.l == 0
-
-    @property
-    def is_circular(self) -> bool:
-        return self.l == self.n - 1
-
-    @property
     def label(self) -> str:
         """Spectroscopic name such as '1s' or '3d'."""
         return f"{self.n}{_SPECTROSCOPIC[self.l]}"
@@ -88,7 +80,6 @@ class StateLabel:
 class FreeMeasures:
     """Variance, Fisher information and Crámer-Rao complexity of a free state."""
 
-    energy: float
     v_pos: float
     f_pos: float
     v_mom: float
@@ -115,9 +106,9 @@ def momentum_mean(state: StateLabel) -> float:
     is known; other states raise ValueError.
     """
     n = state.n
-    if state.is_circular:
+    if state.l == state.n - 1:
         return float((1.0 / state.eta) * gamma(n + 0.5) * gamma(n + 0.5) / (n * gamma(n) ** 2))
-    if not state.is_ns:
+    if state.l != 0:
         raise ValueError(f"<p> has no implemented closed form for {state.label}")
     total = 0.0
     for j in range(n):
@@ -156,7 +147,6 @@ def free_measures(state: StateLabel) -> FreeMeasures:
         * (5.0 * eta**2 - 3.0 * orbital - l * (8.0 * eta - 6.0 * l) + 1.0)
     )
     return FreeMeasures(
-        energy=free_energy(state),
         v_pos=v_pos,
         f_pos=f_pos,
         v_mom=v_mom,

@@ -131,10 +131,10 @@ def _inverse_p_square(cs: ConfinedState) -> float:
     """
     m = cs.state.l
     r, w = radial_rule(cs.r0)
-    inner_rule = gauss_legendre(_INNER_ORDER)
+    nodes, weights = gauss_legendre(_INNER_ORDER)
     half = 0.5 * r[:, None]
-    s = half * (inner_rule.nodes[None, :] + 1.0)
-    inner = (half * inner_rule.weights * cs.radial(s)[0] * s ** (m + 1)).sum(axis=1)
+    s = half * (nodes[None, :] + 1.0)
+    inner = (half * weights * cs.radial(s)[0] * s ** (m + 1)).sum(axis=1)
     outer = w * cs.radial(r)[0] * r ** (1 - m)
     return float(np.sum(outer * inner)) / m
 

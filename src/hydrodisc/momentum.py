@@ -145,11 +145,6 @@ class RadialMomentumTable:
     wall_curvature: float
     origin_coeff: float
 
-    @property
-    def tail_mass(self) -> float:
-        """Estimated norm beyond p_max."""
-        return self.tail_moment(0)
-
     def tail_moment(self, k: int) -> float:
         """Asymptotic estimate of Int_{p_max}^inf H^2 p^(k+1) dp for k in {0, 1, 2}.
 
@@ -267,13 +262,13 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
         tol = 3e-5 * np.maximum(np.abs(totals), 1e-30)
         tol[0] = _TAIL_TOLERANCE
         drift = np.abs(totals - previous)
-        if table.tail_mass <= _TAIL_TOLERANCE and np.all(drift <= 0.5 * tol):
+        if table.tail_moment(0) <= _TAIL_TOLERANCE and np.all(drift <= 0.5 * tol):
             break
         if table.p_max >= p_cap:
             raise AccuracyError(
                 f"momentum tail tolerance unreachable for {cs.state.label} at r0={r0}: "
-                f"p_max={table.p_max:.4g} reached the cap {p_cap:.4g} with tail_mass="
-                f"{table.tail_mass:.3g} (target {_TAIL_TOLERANCE:.3g}) and moment drift "
+                f"p_max={table.p_max:.4g} reached the cap {p_cap:.4g} with tail mass "
+                f"{table.tail_moment(0):.3g} (target {_TAIL_TOLERANCE:.3g}) and moment drift "
                 f"{drift} against tolerances {0.5 * tol}"
             )
         previous = totals
@@ -282,7 +277,7 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
 
     # the Kronrod rule's odd nodes are the Gauss nodes, bit for bit
     _, w_gauss = composite_gauss(edges, _P_ORDER)
-    p_gauss, phi_gauss = (a.reshape(-1, kronrod.order)[:, 1::2].ravel() for a in (p, phi))
+    p_gauss, phi_gauss = (a.reshape(-1, kronrod[0].size)[:, 1::2].ravel() for a in (p, phi))
     _, gauss = tabulate(p_gauss, w_gauss, phi_gauss, table.p_max)
     change = np.abs(totals - gauss) / np.maximum(np.abs(totals), 1e-30)
     if not np.all(change < _KRONROD_TOLERANCE):

@@ -6,14 +6,16 @@ and interpolatory weights, by numpy linear algebra), the composite rules
 every integral in the package is built from, the integer-order Bessel
 function J_m of the Hankel transform, and Brent's root and bounded minimum
 searches (R. P. Brent, Algorithms for Minimization without Derivatives,
-1973, ch. 4-5).
+1973, ch. 4-5).  A rule is a pair (nodes, weights) of read-only arrays;
+gauss_legendre and gauss_kronrod give it on the reference interval
+[-1, 1].  A search that does not settle raises ConvergenceError, the one
+class for every search or solve in the package that fails to settle.
 The free-atom wavefunctions call scipy.special's classical polynomials
 directly.  scipy.special is the only part of scipy the package imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -22,7 +24,7 @@ from numpy.polynomial.legendre import leggauss, legroots, legvander
 from scipy import special as _sp
 
 __all__ = [
-    "QuadratureRule",
+    "ConvergenceError",
     "gauss_legendre",
     "gauss_kronrod",
     "composite_gauss",
@@ -31,32 +33,26 @@ __all__ = [
     "bessel_j",
     "brent_root",
     "brent_minimum",
-    "SearchError",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature nodes and weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
+class ConvergenceError(RuntimeError):
+    """Raised when a search or the variational minimizer fails to settle."""
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order (number of nodes)."""
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the given order (number of nodes)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(nodes=x, weights=w, order=order)
+    return x, w
 
 
 @lru_cache(maxsize=None)
-def gauss_kronrod(order: int) -> QuadratureRule:
+def gauss_kronrod(order: int) -> tuple[np.ndarray, np.ndarray]:
     """(2 order + 1)-point Gauss-Kronrod extension of gauss_legendre(order).
 
     With n = order, the rule keeps the n Gauss nodes and adds the n + 1
@@ -74,7 +70,7 @@ def gauss_kronrod(order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n = order
-    gauss = gauss_legendre(order).nodes
+    gauss = gauss_legendre(order)[0]
     # P_0 .. P_(n+1) on a Gauss rule exact through degree 4n + 3 > deg(E P_n P_k) = 3n + 1
     t, u = leggauss(2 * n + 2)
     legendre = legvander(t, n + 1)
@@ -89,21 +85,24 @@ def gauss_kronrod(order: int) -> QuadratureRule:
     x[1::2] = gauss
     x.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(nodes=x, weights=w, order=2 * order + 1)
+    return x, w
 
 
-def composite_rule(edges: np.ndarray, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Composite rule over the panels defined by sorted edges, panel by panel."""
+def composite_rule(
+    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite of the reference rule (nodes, weights) over the panels of sorted edges."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two panel edges")
     if not np.all(np.diff(edges) > 0):  # also rejects nan edges
         raise ValueError("panel edges must be strictly increasing")
+    nodes, weights = rule
     a = edges[:-1]
     half = 0.5 * np.diff(edges)
     # outer sum over panels, inner over reference nodes
-    x = (a[:, None] + half[:, None] * (rule.nodes[None, :] + 1.0)).ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
+    x = (a[:, None] + half[:, None] * (nodes[None, :] + 1.0)).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
     return x, w
 
 
@@ -167,18 +166,14 @@ _ROOT_MAXITER = 100
 _MINIMUM_MAXFUN = 500
 
 
-class SearchError(RuntimeError):
-    """A Brent search that did not settle: brent_root or brent_minimum ran out of steps."""
-
-
 def brent_root(f, lo: float, hi: float, xtol: float) -> float:
     """Zero of f in [lo, hi] by Brent's zeroin, to xtol + 4 eps |x|.
 
     The arithmetic follows scipy's brentq (its brentq.c) step for step, so
     the two return the same double: inverse quadratic or secant steps while
     they shrink the bracket fast enough, bisection otherwise.  ValueError
-    when f(lo) and f(hi) have the same sign or f returns nan; SearchError
-    after 100 iterations.
+    when f(lo) and f(hi) have the same sign or f returns nan;
+    ConvergenceError after 100 iterations.
     """
 
     def value(x):
@@ -226,7 +221,7 @@ def brent_root(f, lo: float, hi: float, xtol: float) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise SearchError(f"brent_root did not converge in {_ROOT_MAXITER} iterations")
+    raise ConvergenceError(f"brent_root did not converge in {_ROOT_MAXITER} iterations")
 
 
 def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
@@ -237,8 +232,8 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
     the search stops when the bracket around the best point xf is within
     2 (sqrt(eps) |xf| + xatol/3) of it.  The arithmetic and the evaluation
     order are those of scipy's minimize_scalar(method="bounded"), so the two
-    return the same doubles.  SearchError after 500 evaluations or on a nan
-    value.
+    return the same doubles.  ConvergenceError after 500 evaluations or on
+    a nan value.
     """
     sqrt_eps = sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - sqrt(5.0))
@@ -287,7 +282,9 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         if num >= _MINIMUM_MAXFUN:
-            raise SearchError(f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations")
+            raise ConvergenceError(
+                f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations"
+            )
     if xf != xf or fx != fx or fu != fu:
-        raise SearchError(f"brent_minimum met a nan value near x = {xf}")
+        raise ConvergenceError(f"brent_minimum met a nan value near x = {xf}")
     return xf, fx

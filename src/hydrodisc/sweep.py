@@ -118,10 +118,6 @@ class SweepRow:
     error: str | None = None
 
     @property
-    def key(self) -> tuple[int, int, float]:
-        return (self.n, self.m, self.r0)
-
-    @property
     def fisher_product(self) -> float | None:
         """The Fisher uncertainty product F[rho]*F[gamma]."""
         if self.f_pos is None or self.f_mom is None:
@@ -303,7 +299,8 @@ def read_config_file(path: str) -> dict[str, str]:
     """Parse key=value lines; blank lines and # comment lines are skipped.
 
     A # opens a comment only as the first non-blank character of a line, so
-    a value such as a path keeps every # it contains.
+    a value such as a path keeps every # it contains.  A key given twice is
+    a ValueError naming the line of its second value.
     """
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -313,8 +310,10 @@ def read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice")
+            values[key] = value
     return values
 
 

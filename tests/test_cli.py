@@ -5,6 +5,8 @@ import pytest
 from hydrodisc import confined
 from hydrodisc.cli import EXIT_INTERNAL, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from hydrodisc.confined import ConvergenceError
+from hydrodisc.fd_eigensolver import oracle_energy
+from hydrodisc.free_atom import StateLabel
 from hydrodisc.sweep import CSV_HEADER, parse_csv, table1_text
 
 
@@ -151,6 +153,16 @@ def test_bad_spacing_reads_the_same_from_flag_and_config(tmp_path, capsys):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
+    """A repeated key is refused before any output directory is made."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("points=40\npoints=3\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"{cfg}:2: config key 'points' given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_is_io_error(capsys):
     code = main(["sweep", "--config", "/nonexistent/sweep.cfg"])
     assert code == EXIT_IO
@@ -200,6 +212,22 @@ def test_verify_names_a_failed_grid_point(monkeypatch, capsys):
     assert main(["verify"]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure: 1s r0=0.5 solve: alpha bracket did not settle" in err
+
+
+@pytest.mark.parametrize(
+    "target, value",
+    [("hydrodisc.specfun._ROOT_MAXITER", 2),
+     ("hydrodisc.fd_eigensolver._nodes", lambda m, r0, energy: 5)],
+)
+def test_unsettled_oracle_search_in_verify_exits_2(monkeypatch, capsys, target, value):
+    """An exact level that Brent's search or the node-count bracket cannot settle exits 2."""
+    monkeypatch.setattr(target, value)
+    monkeypatch.setattr(
+        "hydrodisc.acceptance.run_all",
+        lambda verbose: [("oracle", oracle_energy(StateLabel(1, 0), 2.0) < 0.0, "")],
+    )
+    assert main(["verify"]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_verify_summarizes_failed_criteria(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Exact wall levels of the confined atom, checked against 30-digit mpmath."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from hydrodisc import fd_eigensolver
 from hydrodisc.fd_eigensolver import oracle_energy
+from hydrodisc.specfun import ConvergenceError
 from hydrodisc.free_atom import StateLabel, free_energy
 from hydrodisc.sweep import SweepConfig, radii
 
@@ -88,7 +91,7 @@ def test_tight_wall_approaches_bessel_zero():
 
 
 def test_validation_errors():
-    for r0 in (-1.0, 0.0):
+    for r0 in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             oracle_energy(StateLabel(1, 0), r0)
 
@@ -96,5 +99,5 @@ def test_validation_errors():
 def test_node_count_that_never_isolates_a_level_raises(monkeypatch):
     """A node count that never settles ends the bisection instead of looping."""
     monkeypatch.setattr(fd_eigensolver, "_nodes", lambda m, r0, energy: 5)
-    with pytest.raises(RuntimeError, match="isolated"):
+    with pytest.raises(ConvergenceError, match="isolated"):
         oracle_energy(StateLabel(1, 0), 2.0)

@@ -43,7 +43,7 @@ def test_grid_structure(tables_r2):
         assert np.all(np.diff(tab.p_grid) > 0)
         assert np.all(tab.p_weights > 0)
         assert tab.p_max == pytest.approx(tab.p_grid[-1], rel=1e-2)
-        assert tab.tail_mass <= 1e-6
+        assert tab.tail_moment(0) <= 1e-6
 
 
 def test_transform_scaling_against_table(tables_r2):

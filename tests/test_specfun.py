@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq, minimize_scalar
 
-from hydrodisc import confined, fd_eigensolver
+from hydrodisc import confined, fd_eigensolver, specfun
 from hydrodisc.free_atom import StateLabel
 from hydrodisc.specfun import (
+    ConvergenceError,
     bessel_j,
     brent_minimum,
     brent_root,
@@ -72,12 +73,13 @@ KRONROD_ORDERS = [1, 2, 3, 4, 7, 12, 20, 30]
 @pytest.mark.parametrize("n", KRONROD_ORDERS)
 def test_gauss_kronrod_structure(n):
     """2n + 1 increasing nodes in (-1, 1), positive weights, the Gauss nodes bit for bit."""
-    rule = gauss_kronrod(n)
-    assert rule.order == 2 * n + 1 and rule.nodes.size == rule.weights.size == 2 * n + 1
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
-    assert np.all(rule.weights > 0)
-    assert np.all(rule.nodes[1::2] == gauss_legendre(n).nodes)
+    x, w = gauss_kronrod(n)
+    assert x.size == w.size == 2 * n + 1
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.all(np.diff(x) > 0)
+    assert -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0)
+    assert np.all(x[1::2] == gauss_legendre(n)[0])
     with pytest.raises(ValueError):
         gauss_kronrod(0)
 
@@ -85,12 +87,12 @@ def test_gauss_kronrod_structure(n):
 @pytest.mark.parametrize("n", KRONROD_ORDERS)
 def test_gauss_kronrod_polynomial_exactness(n):
     """The extension is exact through degree 3n + 1 (even n) or 3n + 2 (odd n); n = 12 not at 38."""
-    rule = gauss_kronrod(n)
+    x, w = gauss_kronrod(n)
     for deg in range(3 * n + 2 + n % 2):
         exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
-        assert abs(np.sum(rule.weights * rule.nodes**deg) - exact) < 1e-14
+        assert abs(np.sum(w * x**deg) - exact) < 1e-14
     if n == 12:
-        assert abs(np.sum(rule.weights * rule.nodes**38) - 2.0 / 39) > 1e-14
+        assert abs(np.sum(w * x**38) - 2.0 / 39) > 1e-14
 
 
 def test_gauss_kronrod_against_mpmath():
@@ -119,16 +121,16 @@ def test_gauss_kronrod_against_mpmath():
         for j, cj in zip(powers, c):
             stieltjes[n + 1 - j] = cj
         added = [mp.re(z) for z in mp.polyroots(stieltjes, maxsteps=200, extraprec=60)]
-        nodes = sorted(added + [mp.mpf(x) for x in gauss_legendre(n).nodes])
+        nodes = sorted(added + [mp.mpf(x) for x in gauss_legendre(n)[0]])
         weights = mp.lu_solve(
             mp.matrix([[x**k for x in nodes] for k in range(2 * n + 1)]),
             mp.matrix([2 / mp.mpf(k + 1) if k % 2 == 0 else 0 for k in range(2 * n + 1)]),
         )
         nodes = np.array(nodes, dtype=float)
         weights = np.array(weights.tolist(), dtype=float).ravel()
-    rule = gauss_kronrod(n)
-    assert np.max(np.abs(rule.nodes - nodes)) <= 2e-15
-    assert np.max(np.abs(rule.weights - weights)) <= 2e-15
+    x, w = gauss_kronrod(n)
+    assert np.max(np.abs(x - nodes)) <= 2e-15
+    assert np.max(np.abs(w - weights)) <= 2e-15
 
 
 def test_composite_rule_reuses_gauss_nodes():
@@ -251,6 +253,17 @@ def test_brent_root_closed_form(f, lo, hi, root, xtol):
 def test_brent_root_needs_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
         brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
+def test_unsettled_brent_root_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(specfun, "_ROOT_MAXITER", 2)
+    with pytest.raises(ConvergenceError, match="brent_root did not converge in 2 iterations"):
+        brent_root(math.cos, 1.0, 2.0, 1e-15)
+
+
+def test_brent_minimum_on_nan_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="nan"):
+        brent_minimum(lambda x: math.nan, 0.0, 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("r0", [0.5, 6.0, 40.0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_radii_linear():
 
 
 def test_sweep_rows_sorted_and_complete(tiny_rows):
-    assert [row.key for row in tiny_rows] == [
+    assert [(row.n, row.m, row.r0) for row in tiny_rows] == [
         (1, 0, 1.0),
         (1, 0, 4.0),
         (2, 1, 1.0),
@@ -88,7 +89,8 @@ def test_csv_round_trip(tiny_rows, tmp_path):
     path = tmp_path / "sweep.csv"
     emit_csv(rows, str(path))
     back = parse_csv(str(path))
-    assert sorted(back, key=lambda r: r.key) == sorted(rows, key=lambda r: r.key)
+    key = attrgetter("n", "m", "r0")
+    assert sorted(back, key=key) == sorted(rows, key=key)
 
 
 def test_csv_failed_row_has_trailing_marker(tmp_path):
@@ -122,7 +124,7 @@ def test_run_sweep_keeps_state_then_radius_order(monkeypatch):
     )
     cfg = SweepConfig(states=((3, 2), (1, 0), (2, 1), (2, 0)), r0_min=1.0, r0_max=4.0, points=3)
     rows = run_sweep(cfg)
-    keys = [row.key for row in rows]
+    keys = [(row.n, row.m, row.r0) for row in rows]
     assert keys == [(n, m, r0) for n, m in sorted(cfg.states) for r0 in radii(cfg)]
 
 

@@ -180,6 +180,7 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="3 Ritz weights"):
         energy_functional(StateLabel(2, 0), 2.0, 1.0, radial_rule(2.0), (1.0, 0.0))
     assert issubclass(ConvergenceError, RuntimeError)
+    assert ConvergenceError is specfun.ConvergenceError  # one class for every unsettled search
 
 
 def test_singular_overlap_is_a_convergence_error():

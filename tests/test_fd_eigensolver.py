@@ -8,8 +8,8 @@ import pytest
 
 from hydrodisc import fd_eigensolver
 from hydrodisc.fd_eigensolver import oracle_energy
-from hydrodisc.specfun import ConvergenceError
 from hydrodisc.free_atom import StateLabel, free_energy
+from hydrodisc.specfun import ConvergenceError
 from hydrodisc.sweep import SweepConfig, radii
 
 

@@ -6,7 +6,7 @@ that tracks variance, Fisher information and their Cramer-Rao product as
 the wall radius shrinks.
 """
 
-from .confined import ConfinedState, ConvergenceError, coulomb_expectation, solve
+from .confined import ConfinedState, coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import (
     FreeMeasures,
@@ -19,19 +19,18 @@ from .free_atom import (
 from .measures import (
     NORM_TOLERANCE,
     MeasureReport,
-    fisher_uncertainty_check,
     free_momentum_report,
     free_position_report,
     momentum_measures,
     position_measures,
 )
-from .momentum import AccuracyError, RadialMomentumTable, build_table, hankel_transform
+from .momentum import RadialMomentumTable, build_table, hankel_transform
+from .specfun import AccuracyError, ConvergenceError
 from .sweep import (
     SweepConfig,
     SweepRow,
     emit_csv,
     emit_plot_data,
-    emit_table1,
     parse_csv,
     run_sweep,
     table1_text,
@@ -52,8 +51,6 @@ __all__ = [
     "coulomb_expectation",
     "emit_csv",
     "emit_plot_data",
-    "emit_table1",
-    "fisher_uncertainty_check",
     "free_energy",
     "free_measures",
     "free_momentum_report",

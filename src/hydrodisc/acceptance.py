@@ -23,12 +23,7 @@ import numpy as np
 from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import StateLabel, free_energy, free_measures, table1_states
-from .measures import (
-    NORM_TOLERANCE,
-    fisher_uncertainty_check,
-    free_momentum_report,
-    free_position_report,
-)
+from .measures import NORM_TOLERANCE, free_momentum_report, free_position_report
 from .specfun import brent_root
 from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
 
@@ -266,7 +261,12 @@ def _kinetic_residual(p: PointEvaluation) -> float:
 
 
 def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
-    """Uncertainty products, moment bounds, norms, Parseval, kinetic identity."""
+    """Uncertainty products, moment bounds, norms, Parseval, kinetic identity.
+
+    The Fisher product bound F[rho] F[gamma] >= 16 holds for real
+    wavefunctions, so it is checked on the m = 0 states only; for m != 0 the
+    product can fall below 16 (the free 2p state reaches about 10.7).
+    """
     problems = []
     worst_kin = worst_norm = 0.0
     worst_ff = math.inf
@@ -275,7 +275,7 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
         ff = p.pos.fisher * p.mom.fisher
         if st.m == 0:
             worst_ff = min(worst_ff, ff)
-            if not fisher_uncertainty_check(p.pos, p.mom):
+            if not ff >= 16.0:  # a nan product fails too
                 problems.append(f"{st.label} r0={p.r0:.3f} Fisher product {ff:.3f} < 16")
         if p.pos.second_moment * p.pos.fisher < 4.0:
             problems.append(f"{st.label} r0={p.r0:.3f} <r^2>F[rho] < 4")

@@ -16,8 +16,7 @@ import os
 import sys
 import traceback
 
-from .confined import ConvergenceError
-from .momentum import AccuracyError
+from .specfun import AccuracyError, ConvergenceError
 from .sweep import (
     SETTINGS,
     SweepConfig,
@@ -25,7 +24,6 @@ from .sweep import (
     config_from,
     emit_csv,
     emit_plot_data,
-    emit_table1,
     parse_states,
     read_config_file,
     run_sweep,
@@ -87,7 +85,7 @@ def _resolve_config(args: argparse.Namespace) -> SweepConfig:
     try:
         file_values = read_config_file(args.config) if args.config else None
         flags = {key: getattr(args, key) for key in SETTINGS}
-        flags["states"] = parse_states(args.states) if args.states else None
+        flags["states"] = parse_states(args.states) if args.states is not None else None
         return config_from(file_values, flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -124,7 +122,8 @@ def _run_table1_command(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(table1_text())
     else:
-        emit_table1(args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table1_text())
         print(f"table1: wrote {args.out}")
     return EXIT_OK
 

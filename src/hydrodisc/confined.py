@@ -52,7 +52,6 @@ from .free_atom import StateLabel
 from .specfun import ConvergenceError, brent_minimum, composite_gauss
 
 __all__ = [
-    "ConvergenceError",
     "ConfinedState",
     "radial_rule",
     "ritz_basis",

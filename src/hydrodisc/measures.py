@@ -39,8 +39,8 @@ from .free_atom import (
     free_radial_position_wf,
     position_mean,
 )
-from .momentum import AccuracyError, RadialMomentumTable
-from .specfun import composite_gauss, gauss_legendre, semi_axis_rule
+from .momentum import RadialMomentumTable
+from .specfun import AccuracyError, composite_gauss, gauss_legendre, semi_axis_rule
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -49,7 +49,6 @@ __all__ = [
     "momentum_measures",
     "free_position_report",
     "free_momentum_report",
-    "fisher_uncertainty_check",
 ]
 
 NORM_TOLERANCE = 1e-4
@@ -196,15 +195,3 @@ def free_momentum_report(state: StateLabel) -> MeasureReport:
     p, w = _compact_momentum_rule(state)
     return _radial_report("momentum", p, w, *free_radial_momentum_wf(state, p))
 
-
-def fisher_uncertainty_check(pos: MeasureReport, mom: MeasureReport) -> bool:
-    """Whether the Fisher informations satisfy F_pos * F_mom >= 16.
-
-    The product bound 16 holds for real wavefunctions, i.e. the m = 0
-    states here.  For m != 0 the product can fall below 16 (the 2p state
-    near the free limit reaches about 10.7), so callers should treat the
-    result as informational for those states.
-    """
-    if pos.space != "position" or mom.space != "momentum":
-        raise ValueError("expected one position report and one momentum report")
-    return bool(pos.fisher * mom.fisher >= 16.0)

@@ -61,10 +61,9 @@ import numpy as np
 
 from .confined import ConfinedState
 from .free_atom import StateLabel
-from .specfun import bessel_j, composite_gauss, composite_rule, gauss_kronrod
+from .specfun import AccuracyError, bessel_j, composite_gauss, composite_rule, gauss_kronrod
 
 __all__ = [
-    "AccuracyError",
     "RadialMomentumTable",
     "hankel_transform",
     "build_table",
@@ -78,10 +77,6 @@ _GEOM_RATIO = 10.0 ** (1.0 / 6.0)
 _KRONROD_TOLERANCE = 1e-6  # relative Gauss-Kronrod moment difference accepted
 _TAIL_TOLERANCE = 1e-6  # estimated norm beyond p_max accepted
 _WALL_TOLERANCE = 1e-12  # norm change allowed from the wall term left unresolved beyond p_wall
-
-
-class AccuracyError(RuntimeError):
-    """Raised when an integral cannot reach its accuracy target."""
 
 
 def _panel_count(r0: float, kappa: float, p: np.ndarray) -> np.ndarray:
@@ -103,19 +98,18 @@ def _panel_count(r0: float, kappa: float, p: np.ndarray) -> np.ndarray:
     return np.ceil(need).astype(int)
 
 
-def hankel_transform(cs: ConfinedState, p) -> float | np.ndarray:
-    """H(p) = Int R J_m(pr) r dr for momenta p >= 0: a float for a scalar p, else a 1-D array.
+def hankel_transform(cs: ConfinedState, p: np.ndarray) -> np.ndarray:
+    """H(p) = Int R J_m(pr) r dr at each momentum of the 1-D array p.
 
     Each momentum takes its own panel count (_panel_count); momenta with
     equal counts share one r-grid, so the Bessel kernel is evaluated as a
-    single matrix per group.
+    single matrix per group.  ValueError unless p is 1-D, finite and >= 0.
     """
     m = cs.state.l
     r0 = cs.r0
-    scalar = np.ndim(p) == 0
-    p = np.array(p, dtype=float, ndmin=1)
-    if p.ndim > 1:
-        raise ValueError(f"momenta p must be a scalar or a 1-D array, got shape {p.shape}")
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or not np.all((p >= 0.0) & (p < math.inf)):  # nan fails both
+        raise ValueError(f"momenta p must be 1-D, finite and >= 0, got shape {p.shape}: {p}")
     value = np.empty_like(p)
     counts = _panel_count(r0, math.sqrt(max(-2.0 * cs.energy, 0.0)), p)
     for count in np.unique(counts):
@@ -128,7 +122,7 @@ def hankel_transform(cs: ConfinedState, p) -> float | np.ndarray:
         for lo in range(0, idx.size, rows):
             sel = idx[lo : lo + rows]
             value[sel] = bessel_j(m, p[sel, None] * r[None, :]) @ wrr
-    return float(value[0]) if scalar else value
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ function J_m of the Hankel transform, and Brent's root and bounded minimum
 searches (R. P. Brent, Algorithms for Minimization without Derivatives,
 1973, ch. 4-5).  A rule is a pair (nodes, weights) of read-only arrays;
 gauss_legendre and gauss_kronrod give it on the reference interval
-[-1, 1].  A search that does not settle raises ConvergenceError, the one
-class for every search or solve in the package that fails to settle.
+[-1, 1].  The package's two failure classes are defined here:
+ConvergenceError for every search or solve that fails to settle, and
+AccuracyError for every integral that cannot reach its accuracy target.
 The free-atom wavefunctions call scipy.special's classical polynomials
 directly.  scipy.special is the only part of scipy the package imports.
 """
@@ -24,6 +25,7 @@ from numpy.polynomial.legendre import leggauss, legroots, legvander
 from scipy import special as _sp
 
 __all__ = [
+    "AccuracyError",
     "ConvergenceError",
     "gauss_legendre",
     "gauss_kronrod",
@@ -38,6 +40,10 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """Raised when a search or the variational minimizer fails to settle."""
+
+
+class AccuracyError(RuntimeError):
+    """Raised when an integral cannot reach its accuracy target."""
 
 
 @lru_cache(maxsize=None)
@@ -232,13 +238,20 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
     the search stops when the bracket around the best point xf is within
     2 (sqrt(eps) |xf| + xatol/3) of it.  The arithmetic and the evaluation
     order are those of scipy's minimize_scalar(method="bounded"), so the two
-    return the same doubles.  ConvergenceError after 500 evaluations or on
-    a nan value.
+    return the same doubles.  ConvergenceError after 500 evaluations or at
+    the first nan value.
     """
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ConvergenceError(f"brent_minimum met a nan value at x = {x}")
+        return fx
+
     sqrt_eps = sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - sqrt(5.0))
     xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = fu = f(xf)
+    fx = fnfc = ffulc = value(xf)
     num = 1
     rat = e = 0.0
     while True:
@@ -267,7 +280,7 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
         x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
+        fu = value(x)
         num += 1
         if fu <= fx:
             a, b = (xf, b) if x >= xf else (a, xf)
@@ -285,6 +298,4 @@ def brent_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
             raise ConvergenceError(
                 f"brent_minimum did not converge in {_MINIMUM_MAXFUN} evaluations"
             )
-    if xf != xf or fx != fx or fu != fu:
-        raise ConvergenceError(f"brent_minimum met a nan value near x = {xf}")
     return xf, fx

@@ -23,10 +23,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .confined import MAX_WALL_RADIUS, MIN_WALL_RADIUS, ConfinedState, ConvergenceError, solve
+from .confined import MAX_WALL_RADIUS, MIN_WALL_RADIUS, ConfinedState, solve
 from .free_atom import StateLabel, free_measures, table1_states
 from .measures import MeasureReport, momentum_measures, position_measures
-from .momentum import AccuracyError, RadialMomentumTable, build_table
+from .momentum import RadialMomentumTable, build_table
+from .specfun import AccuracyError, ConvergenceError
 
 __all__ = [
     "SweepConfig",
@@ -41,7 +42,6 @@ __all__ = [
     "emit_csv",
     "parse_csv",
     "table1_text",
-    "emit_table1",
     "emit_plot_data",
     "read_config_file",
     "parse_states",
@@ -204,8 +204,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SweepRow]:
     r_values = radii(cfg)
     # radii ascend and both maps keep task order, so no sort is needed
     tasks = [(n, m, float(r0)) for n, m in sorted(cfg.states) for r0 in r_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool may start all its workers at once, so it gets no more workers than points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(evaluate_point, *zip(*tasks)))
     return list(map(evaluate_point, *zip(*tasks)))
 
@@ -267,12 +269,6 @@ def table1_text() -> str:
         cells = (fm.v_pos, fm.v_mom, fm.f_pos, fm.f_mom, fm.cr_pos, fm.cr_mom)
         lines.append(st.label + "," + ",".join(f"{x:.4f}" for x in cells))
     return "\n".join(lines) + "\n"
-
-
-def emit_table1(path: str) -> None:
-    """Write table1_text to a file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table1_text())
 
 
 def emit_plot_data(rows: list[SweepRow], directory: str) -> None:

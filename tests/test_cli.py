@@ -4,9 +4,9 @@ import pytest
 
 from hydrodisc import confined
 from hydrodisc.cli import EXIT_INTERNAL, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from hydrodisc.confined import ConvergenceError
 from hydrodisc.fd_eigensolver import oracle_energy
 from hydrodisc.free_atom import StateLabel
+from hydrodisc.specfun import ConvergenceError
 from hydrodisc.sweep import CSV_HEADER, parse_csv, table1_text
 
 
@@ -103,6 +103,15 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
 def test_bad_state_string_is_usage_error(capsys):
     assert main(["sweep", "--states", "5"]) == EXIT_USAGE
     assert "bad state" in capsys.readouterr().err
+
+
+def test_empty_state_list_is_usage_error(tmp_path, capsys):
+    """An empty --states is refused, as in a config file, not read as the default states."""
+    code = main(["sweep", "--states", "", "--points", "2", "--r0-min", "1",
+                 "--r0-max", "2", "--out", str(tmp_path / "run")])
+    assert code == EXIT_USAGE
+    assert "states list must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_repeated_state_is_usage_error(tmp_path, capsys):

@@ -22,6 +22,15 @@ def test_every_export_resolves(name):
     assert not missing, f"{name}.__all__ names undefined {missing}"
 
 
+def test_failure_classes_are_defined_once_in_specfun():
+    """Both failure classes live in specfun; the package exports those same classes."""
+    assert hydrodisc.AccuracyError is hydrodisc.specfun.AccuracyError
+    assert hydrodisc.ConvergenceError is hydrodisc.specfun.ConvergenceError
+    for name in set(MODULES) - {"hydrodisc", "hydrodisc.specfun"}:
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        assert not exported & {"AccuracyError", "ConvergenceError"}, name
+
+
 def test_library_does_not_import_scipy_optimize():
     """The package, its CLI and its acceptance battery load no scipy.optimize module."""
     code = (

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 from hydrodisc import momentum
 from hydrodisc.confined import _ritz_powers, coulomb_expectation, solve
 from hydrodisc.free_atom import StateLabel, table1_states
-from hydrodisc.momentum import P_MIN, AccuracyError, build_table, hankel_transform
-from hydrodisc.specfun import bessel_j, composite_gauss
+from hydrodisc.momentum import P_MIN, build_table, hankel_transform
+from hydrodisc.specfun import AccuracyError, bessel_j, composite_gauss
 
 STATES = tuple(table1_states())
 
@@ -177,14 +177,6 @@ def test_panel_count_is_the_fewest_meeting_both_bounds(r0, kappa, p):
     assert np.all((counts == 1) | (fewer < periods) | (fewer < decay))
 
 
-def test_scalar_momentum_matches_the_one_element_array(tables_r2):
-    """A scalar p returns a float equal to the transform of [p]."""
-    cs, _ = tables_r2["2p"]
-    value = hankel_transform(cs, 1.0)
-    assert isinstance(value, float)
-    assert value == hankel_transform(cs, [1.0])[0]
-
-
 def test_free_ground_state_density_shape():
     """At a distant wall the 1s momentum density is (1 + p^2/4)^-3."""
     cs = solve(StateLabel(1, 0), 25.0)
@@ -330,10 +322,12 @@ def test_kronrod_tolerance_consistency(tables_r2, monkeypatch):
 
 def test_validation_errors(tables_r2):
     cs, tab = tables_r2["1s"]
-    with pytest.raises(ValueError):
-        hankel_transform(cs, np.array([-0.5]))
     with pytest.raises(ValueError, match=r"momenta p .* got shape \(2, 3\)"):
         hankel_transform(cs, np.ones((2, 3)))
+    # a scalar, nan, inf or a negative momentum fails up front, naming p
+    for p in (1.0, np.array([np.nan]), np.array([np.inf]), np.array([-0.5]), [0.5, -1e-300]):
+        with pytest.raises(ValueError, match="momenta p must be 1-D, finite and >= 0"):
+            hankel_transform(cs, p)
     # <p^-2> is a position-space integral (measures), for every m
     _, tab_2p = tables_r2["2p"]
     for table in (tab, tab_2p):

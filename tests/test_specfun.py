@@ -262,8 +262,22 @@ def test_unsettled_brent_root_is_a_convergence_error(monkeypatch):
 
 
 def test_brent_minimum_on_nan_is_a_convergence_error():
+    """The first nan value ends the search: at once, or wherever the search meets it."""
+    calls = []
+
+    def nan_everywhere(x):
+        calls.append(x)
+        return math.nan
+
     with pytest.raises(ConvergenceError, match="nan"):
-        brent_minimum(lambda x: math.nan, 0.0, 1.0, 1e-10)
+        brent_minimum(nan_everywhere, 0.0, 1.0, 1e-10)
+    assert len(calls) == 1
+
+    def nan_beyond(x):
+        return (x - 0.8) ** 2 if x < 0.75 else math.nan
+
+    with pytest.raises(ConvergenceError, match="nan value at x = "):
+        brent_minimum(nan_beyond, 0.0, 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("r0", [0.5, 6.0, 40.0])

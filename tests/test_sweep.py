@@ -128,6 +128,35 @@ def test_run_sweep_keeps_state_then_radius_order(monkeypatch):
     assert keys == [(n, m, r0) for n, m in sorted(cfg.states) for r0 in radii(cfg)]
 
 
+@pytest.mark.parametrize("jobs, pools", [(500, [4]), (3, [3]), (1, [])])
+def test_worker_pool_never_exceeds_the_point_count(monkeypatch, jobs, pools):
+    """The pool gets min(jobs, points) workers; a single worker runs serially, with no pool."""
+    sizes = []
+
+    class InlinePool:
+        """Records max_workers and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep, "evaluate_point", lambda n, m, r0: SweepRow(n=n, m=m, r0=r0))
+    rows = run_sweep(TINY, jobs=jobs)
+    assert sizes == pools
+    assert [(row.n, row.m, row.r0) for row in rows] == [
+        (n, m, r0) for n, m in TINY.states for r0 in radii(TINY)
+    ]
+
+
 def test_evaluate_point_isolates_accuracy_failure(monkeypatch):
     # a Gauss-Kronrod check nothing passes makes build_table raise AccuracyError
     monkeypatch.setattr(momentum, "_KRONROD_TOLERANCE", 0.0)

@@ -109,14 +109,20 @@ def test_momentum_measures_rejects_a_foreign_table():
         momentum_measures(cs, build_table(other))
 
 
-def test_fisher_product_bound_on_free_reports():
-    """F[rho] F[gamma] >= 16 holds for the s states; the 2p product sits near 10.7."""
-    products = {}
-    for n, m in ((1, 0), (2, 0), (2, 1)):
-        st = StateLabel(n, m)
-        products[st.label] = free_position_report(st).fisher * free_momentum_report(st).fisher
-    assert products["1s"] >= 16.0 and products["2s"] >= 16.0
-    assert abs(products["2p"] - 10.67) < 0.01
+def test_fisher_uncertainty_check_ground_state():
+    """F[rho] F[gamma] >= 16 holds for s states (here: free 1s and 2s)."""
+    for n in (1, 2):
+        st = StateLabel(n, 0)
+        product = free_position_report(st).fisher * free_momentum_report(st).fisher
+        assert product >= 16.0, st.label
+
+
+def test_fisher_uncertainty_check_circular_exception():
+    """The 2p product sits near 10.7, below the m=0 bound of 16."""
+    st = StateLabel(2, 1)
+    product = free_position_report(st).fisher * free_momentum_report(st).fisher
+    assert not product >= 16.0
+    assert abs(product - 10.67) < 0.01
 
 
 def test_norm_tolerance_constant():

@@ -5,10 +5,11 @@ confinement sweep grid through the sweep's own evaluator once, timed on its
 own line, and hands it to every criterion; criteria that need points off
 that grid (r0 = 30, the crossing windows) evaluate them the same way.  A
 point whose solve or quadrature fails re-raises its error, naming the point.
-The time shown per criterion is its own marginal cost.  When the feature of
-criterion 5 or 9 misses its window, the failure line says where it is: the
-sign changes of the curve gap on a scan grid, each refined by Brent's
-method (_locate).
+The time shown per criterion is its own marginal cost.  Criteria 5 and 9
+count the sign changes of a curve gap on a window's scan grid with one
+locator (_crossing); when the feature misses its window, the failure line
+says where it is: the sign changes on a wider grid, each refined by Brent's
+method.
 
 Run via `hydrodisc verify` or the pytest wrapper in tests/test_acceptance.py.
 """
@@ -54,10 +55,21 @@ def _brackets(r, diff) -> list[tuple[float, float]]:
     return [(float(r[i]), float(r[i + 1])) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
 
 
-def _locate(f, r) -> list[float]:
-    """Sign changes of f on the grid r, each refined by Brent's method to 1e-4."""
-    brackets = _brackets(r, [f(float(x)) for x in r])
-    return [brent_root(f, lo, hi, xtol=1e-4) for lo, hi in brackets]
+def _crossing(gap, scan, wide) -> tuple[int, str]:
+    """Sign changes of gap on the scan grid, and where gap crosses zero.
+
+    One change reads as its scan bracket.  Otherwise the text gives every
+    sign change on the wide grid, each refined by Brent's method to 1e-4.
+    """
+    brackets = _brackets(scan, [gap(float(r)) for r in scan])
+    if len(brackets) == 1:
+        return 1, f"changes sign once, in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]"
+    found = [brent_root(gap, lo, hi, xtol=1e-4)
+             for lo, hi in _brackets(wide, [gap(float(r)) for r in wide])]
+    at = ", ".join(f"r0 = {x:.3f}" for x in found)
+    where = (f"the curves cross at {at}" if found
+             else f"the curves do not cross in [{wide[0]:g}, {wide[-1]:g}]")
+    return len(brackets), f"changes sign {len(brackets)}x in [{scan[0]:g}, {scan[-1]:g}]; {where}"
 
 
 def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:
@@ -175,20 +187,8 @@ def criterion_5(grid: list[PointEvaluation]) -> tuple[bool, str]:
     def gap(r0: float) -> float:
         return solve(s2, r0).energy - solve(d3, r0).energy
 
-    grid = np.linspace(0.8, 1.3, 11)
-    brackets = _brackets(grid, [gap(float(r)) for r in grid])
-    changes = len(brackets)
-    where = ""
-    if changes == 1:
-        where = f" between r0={brackets[0][0]:.2f} and {brackets[0][1]:.2f}"
-    elif changes == 0:
-        # locate the inversion so the failure says where it actually happens
-        found = _locate(gap, np.linspace(0.3, 1.3, 11))
-        at = ", ".join(f"{x:.3f}" for x in found)
-        where = (f"; the inversion actually happens at r0 = {at}" if found
-                 else "; no inversion anywhere in [0.3, 1.3]")
-    detail = f"E(2s)-E(3d) changes sign {changes}x on 11-point grid{where}"
-    return (changes == 1, detail)
+    changes, where = _crossing(gap, np.linspace(0.8, 1.3, 11), np.linspace(0.3, 1.3, 11))
+    return (changes == 1, f"E(2s)-E(3d) {where}")
 
 
 def criterion_6(grid: list[PointEvaluation]) -> tuple[bool, str]:
@@ -312,28 +312,17 @@ def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
         return variances[st, r0]
 
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
-    problems = []
-    found = []
+    counts, details = [], []
     for label, (lo, hi) in windows.items():
         st = next(s for s in table1_states() if s.label == label)
 
         def gap(r0: float) -> float:
             return variance(st, r0) - variance(ground, r0)
 
-        r = [float(r0) for r0 in np.linspace(lo, hi, 7)]
-        brackets = _brackets(r, [gap(r0) for r0 in r])
-        if len(brackets) == 1:
-            found.append(f"(1s;{label}) in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]")
-            continue
-        # locate where the curves actually cross so the failure is informative
-        wide = _locate(gap, np.arange(0.8, 3.61, 0.14))
-        where = ", ".join(f"r0 = {x:.3f}" for x in wide) or "nowhere in [0.8, 3.6]"
-        problems.append(
-            f"(1s;{label}) has {len(brackets)} crossings in [{lo}, {hi}]; "
-            f"the pipeline curves actually cross at {where}"
-        )
-    detail = "; ".join(found + problems)
-    return (not problems, detail)
+        changes, where = _crossing(gap, np.linspace(lo, hi, 7), np.arange(0.8, 3.61, 0.14))
+        counts.append(changes)
+        details.append(f"(1s;{label}) {where}")
+    return (all(c == 1 for c in counts), "; ".join(details))
 
 
 # Every criterion takes the evaluated default grid, whether it reads it or not.

@@ -138,7 +138,7 @@ def semi_axis_rule(scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bessel_j(m: int, z):
-    """Bessel function of the first kind J_m for integer order m >= 0.
+    """Bessel function of the first kind J_m for integer order m >= 0 and any real z.
 
     Vectorized for bulk kernels: scipy.special.j0 for m = 0, j1 for m = 1,
     and for m = 2 the exact recurrence J_2(z) = 2 J_1(z)/z - J_0(z) built
@@ -149,8 +149,6 @@ def bessel_j(m: int, z):
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("bessel_j requires z >= 0")
     if m == 0:
         out = _sp.j0(z)
     elif m == 1:

@@ -314,7 +314,7 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def parse_states(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse a state list like '1,0;2,0;2,1;3,2'."""
+    """Parse a state list like '1,0;2,0;2,1;3,2'; SweepConfig refuses an empty one."""
     states = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -324,8 +324,6 @@ def parse_states(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise ValueError(f"bad state {chunk!r}, expected 'n,m'")
         states.append((int(parts[0]), int(parts[1])))
-    if not states:
-        raise ValueError("states list must not be empty")
     return tuple(states)
 
 

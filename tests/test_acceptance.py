@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hydrodisc import acceptance, momentum, sweep
+from hydrodisc import acceptance, momentum, specfun, sweep
 from hydrodisc.confined import solve
 from hydrodisc.free_atom import StateLabel
 
@@ -124,9 +124,37 @@ def test_every_table_transforms_each_momentum_once(battery):
 def test_attained_crossing_windows_hold(results):
     """(1s;2p) and (1s;2s) momentum-variance crossings stay in their windows."""
     _, line = results["momentum-variance crossing windows"]
-    assert "(1s;2p) in [" in line
-    assert "(1s;2s) in [" in line
-    assert "(1s;3d) has" in line  # adjudicated: see the module docstring
+    assert "(1s;2p) changes sign once, in [" in line
+    assert "(1s;2s) changes sign once, in [" in line
+    assert "(1s;3d) changes sign 0x" in line  # adjudicated: see the module docstring
+
+
+@pytest.mark.parametrize(
+    "roots, changes, text, located",
+    [
+        ([0.55], 1, "changes sign once, in [0.50, 0.60]", []),
+        ([1.55], 0, "changes sign 0x in [0, 1]; the curves cross at r0 = 1.550", [1.55]),
+        ([0.33, 0.77], 2,
+         "changes sign 2x in [0, 1]; the curves cross at r0 = 0.330, r0 = 0.770", [0.33, 0.77]),
+        ([], 0, "changes sign 0x in [0, 1]; the curves do not cross in [0, 2]", []),
+    ],
+)
+def test_crossing_counts_and_locates(roots, changes, text, located):
+    """One scan-grid sign change reads as its bracket; any other count is located on the wide grid."""
+    refined = []
+
+    def gap(r):
+        return float(np.prod([r - x for x in roots]))
+
+    def brent_root(f, lo, hi, xtol):
+        refined.append(specfun.brent_root(f, lo, hi, xtol))
+        return refined[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceptance, "brent_root", brent_root)
+        got = acceptance._crossing(gap, np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11))
+    assert got == (changes, text)
+    assert refined == pytest.approx(located, abs=1e-4)
 
 
 def test_kinetic_identity_reads_the_table():

@@ -112,6 +112,11 @@ def test_empty_state_list_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "states list must not be empty" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("points=2\nr0_min=1.0\nr0_max=2.0\nstates=\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    assert "states list must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_repeated_state_is_usage_error(tmp_path, capsys):

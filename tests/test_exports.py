@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +44,15 @@ def test_library_does_not_import_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_library_example_runs(capsys):
+    """The python block under README's "## Library" heading runs and prints its two lines."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, f"{readme}:Library", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    energy, cr_pos, cr_mom = map(float, first.split())
+    assert energy < 0.0 < min(cr_pos, cr_mom)
+    assert second.startswith("FreeMeasures(")

@@ -214,12 +214,19 @@ def test_bessel_j_at_zero():
 
 
 def test_bessel_domain_errors():
+    """A negative order is refused; a negative argument is in the domain.
+
+    J_m(-z) = (-1)^m J_m(z) for integer m, checked against mpmath on one
+    array of both signs that holds the z = 0 point of the J_2 recurrence.
+    """
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, np.array([-0.1]))
-    with pytest.raises(ValueError):
-        bessel_j(2, np.array([70.0, -1.0]))
+    r = np.geomspace(1e-6, 1e3, 251)
+    z = np.concatenate((-r, [0.0], r))
+    for m in range(6):
+        assert_allclose(bessel_j(m, z), _mpmath_j(m, z), rtol=0, atol=1e-13)
+        assert_allclose(bessel_j(m, -z), (-1) ** m * bessel_j(m, z), rtol=0, atol=1e-15)
+    assert bessel_j(2, -70.0) == pytest.approx(_mpmath_j(2, [70.0])[0], abs=1e-13)
 
 
 def test_brent_root_matches_brentq_on_the_oracle(monkeypatch):

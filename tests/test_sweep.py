@@ -271,8 +271,9 @@ def test_parse_states():
     assert parse_states(" 3,2 ; ") == ((3, 2),)
     with pytest.raises(ValueError):
         parse_states("1;2")
-    with pytest.raises(ValueError):
-        parse_states(";")
+    assert parse_states(";") == ()
+    with pytest.raises(ValueError, match="states list must not be empty"):
+        config_from({"states": ";"}, {})
 
 
 def test_config_from_flags_beat_file():

@@ -111,29 +111,21 @@ def criterion_1(grid: list[PointEvaluation]) -> tuple[bool, str]:
 def criterion_2(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Free-state quadrature oracles match closed forms (1e-6 pos, 1e-5 mom)."""
     problems = []
-    worst_pos = worst_mom = 0.0
+    worst = {"position": 0.0, "momentum": 0.0}
     for label in ("1s", "2p", "3d"):
         st = next(s for s in table1_states() if s.label == label)
         fm = free_measures(st)
-        pos = free_position_report(st)
-        mom = free_momentum_report(st)
-        for name, closed, quad in (
-            ("v_pos", fm.v_pos, pos.variance),
-            ("f_pos", fm.f_pos, pos.fisher),
+        pos, mom = free_position_report(st), free_momentum_report(st)
+        for space, tol, checks in (
+            ("position", 1e-6, (("v_pos", fm.v_pos, pos.variance), ("f_pos", fm.f_pos, pos.fisher))),
+            ("momentum", 1e-5, (("v_mom", fm.v_mom, mom.variance), ("f_mom", fm.f_mom, mom.fisher))),
         ):
-            rel = abs(quad / closed - 1.0)
-            worst_pos = max(worst_pos, rel)
-            if rel > 1e-6:
-                problems.append(f"{label} {name} rel {rel:.2e}")
-        for name, closed, quad in (
-            ("v_mom", fm.v_mom, mom.variance),
-            ("f_mom", fm.f_mom, mom.fisher),
-        ):
-            rel = abs(quad / closed - 1.0)
-            worst_mom = max(worst_mom, rel)
-            if rel > 1e-5:
-                problems.append(f"{label} {name} rel {rel:.2e}")
-    detail = f"worst relative error: position {worst_pos:.1e}, momentum {worst_mom:.1e}"
+            for name, closed, quad in checks:
+                rel = abs(quad / closed - 1.0)
+                worst[space] = max(worst[space], rel)
+                if rel > tol:
+                    problems.append(f"{label} {name} rel {rel:.2e}")
+    detail = "worst relative error: " + ", ".join(f"{sp} {rel:.1e}" for sp, rel in worst.items())
     return (not problems, detail if not problems else "; ".join(problems))
 
 

@@ -17,7 +17,12 @@ The radial wavefunctions are orthonormal polynomials of degree n_r times
 their weights: associated Laguerre L_k^(2|m|) in position space and
 Gegenbauer C_k^(|m|+1/2) in momentum space, each evaluated by scipy.special
 and scaled to unit norm in place.  Their derivatives use the degree k - 1
-polynomial, which scipy evaluates as 0 for k = 0.
+polynomial, which scipy evaluates as 0 for k = 0.  The momentum
+wavefunction is written in s = eta p as s^|m| (1 + s^2)^-(|m|+3/2) times
+the polynomial at y = (1 - s^2)/(1 + s^2): one expression holds for every
+degree and at p = 0, and it keeps full relative accuracy as p -> 0, where
+a form in 1 - y would cancel.  The quadrature oracles in measures
+integrate both wavefunctions on one semi-axis rule.
 """
 
 from __future__ import annotations
@@ -175,7 +180,7 @@ def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarra
     envelope = np.exp(-0.5 * rt)
     power = rt**l
     value = const * power * envelope * poly
-    dpower = l * rt ** (l - 1) if l >= 1 else np.zeros_like(rt)
+    dpower = l * rt ** max(l - 1, 0)
     deriv = (
         const
         / lam
@@ -186,48 +191,33 @@ def free_radial_position_wf(state: StateLabel, r) -> tuple[np.ndarray, np.ndarra
 
 
 def free_radial_momentum_wf(state: StateLabel, p) -> tuple[np.ndarray, np.ndarray]:
-    """Radial momentum wavefunction M(p) and dM/dp, normalized by Int M^2 p dp = 1."""
+    """Radial momentum wavefunction M(p) and dM/dp, normalized by Int M^2 p dp = 1.
+
+    In s = eta p and q = 1 + s^2, M = c s^l q^-(l+3/2) C_k^(l+1/2)(y) with
+    y = (1 - s^2)/q, which holds at p = 0 as well: the textbook weight
+    (1 + y)^((l+3)/2) (1 - y)^(l/2) is 2^(l+3/2) s^l q^-(l+3/2).
+    """
     eta = state.eta
     l, k = state.l, state.n_r
     alpha = l + 0.5
-    p = np.asarray(p, dtype=float)
-    s2 = (eta * p) ** 2
-    y = (1.0 - s2) / (1.0 + s2)
-    a_exp = 1.5 + 0.5 * l
-    b_exp = 0.5 * l
-    const = eta
     # C_k^(alpha) scaled to unit norm under (1-y^2)^(alpha-1/2), d/dy C_k^(a) = 2a C_{k-1}^(a+1)
-    if k == 0:
-        # duplication-safe form of the norm below
-        norm_sq = float(np.sqrt(np.pi) * gamma(alpha + 0.5) / gamma(alpha + 1.0))
-    else:
-        norm_sq = float(
-            np.pi
-            * 2.0 ** (1.0 - 2.0 * alpha)
-            * gamma(k + 2.0 * alpha)
-            / ((k + alpha) * gamma(k + 1.0) * gamma(alpha) ** 2)
-        )
-    norm = 1.0 / np.sqrt(norm_sq)
-    poly = norm * eval_gegenbauer(k, alpha, y)
-    dpoly = norm * 2.0 * alpha * eval_gegenbauer(k - 1, alpha + 1.0, y)
-
-    positive = p > 0.0
-    yp = np.where(positive, y, 0.0)  # placeholder at p=0, fixed below
-    up = 1.0 + yp
-    um = 1.0 - yp
-    value = const * up**a_exp * um**b_exp * poly
-    dy_dp = -4.0 * eta**2 * p / (1.0 + s2) ** 2
-    dvalue_dy = const * (
-        up ** (a_exp - 1.0) * um ** (b_exp - 1.0) * (a_exp * um - b_exp * up) * poly
-        + up**a_exp * um**b_exp * dpoly
+    log_norm_sq = (
+        math.log(math.pi)
+        + (1.0 - 2.0 * alpha) * math.log(2.0)
+        + gammaln(k + 2.0 * alpha)
+        - gammaln(k + 1.0)
+        - math.log(k + alpha)
+        - 2.0 * gammaln(alpha)
     )
-    deriv = dvalue_dy * dy_dp
-
-    if np.any(~positive):
-        # limits at p = 0, where y = 1 exactly
-        peak = const * 2.0**a_exp * (norm * eval_gegenbauer(k, alpha, 1.0))
-        v0 = peak if l == 0 else 0.0
-        d0 = peak * math.sqrt(2.0) * eta if l == 1 else 0.0
-        value = np.where(positive, value, v0)
-        deriv = np.where(positive, deriv, d0)
+    const = eta * 2.0 ** (l + 1.5) * math.exp(-0.5 * log_norm_sq)
+    s = eta * np.asarray(p, dtype=float)
+    q = 1.0 + s * s
+    y = (1.0 - s * s) / q
+    poly = eval_gegenbauer(k, alpha, y)
+    dpoly = 2.0 * alpha * eval_gegenbauer(k - 1, alpha + 1.0, y)
+    envelope = q ** -(l + 1.5)
+    power = s**l
+    value = const * power * envelope * poly
+    dpower = l * s ** max(l - 1, 0) - (2.0 * l + 3.0) * s ** (l + 1) / q
+    deriv = const * eta * envelope * (dpower * poly - 4.0 * s / (q * q) * power * dpoly)
     return value, deriv

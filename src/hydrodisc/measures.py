@@ -21,9 +21,10 @@ quadrature stored in a RadialMomentumTable with its analytic large-p tail
 corrections.
 
 The free_*_report helpers evaluate the same measures for the analytic free
-atom by direct quadrature.  They exist as oracles: the closed forms in
-free_atom must agree with them, and the confined solver must approach them
-as the wall recedes.
+atom by direct quadrature, both on specfun.semi_axis_rule: scaled by <r>
+in position space and by 1/eta in momentum space.  They exist as oracles:
+the closed forms in free_atom must agree with them, and the confined
+solver must approach them as the wall recedes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .free_atom import (
     position_mean,
 )
 from .momentum import RadialMomentumTable
-from .specfun import AccuracyError, composite_gauss, gauss_legendre, semi_axis_rule
+from .specfun import AccuracyError, gauss_legendre, semi_axis_rule
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -163,35 +164,11 @@ def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureR
 
 def free_position_report(state: StateLabel) -> MeasureReport:
     """Quadrature-based measures of the free atom's position density."""
-    scale = position_mean(state)
-    r, w = semi_axis_rule(scale)
+    r, w = semi_axis_rule(position_mean(state))
     return _radial_report("position", r, w, *free_radial_position_wf(state, r))
-
-
-_COMPACT_ORDER = 16  # Gauss-Legendre order per panel of the free momentum rule
-_COMPACT_LEVELS = 40  # dyadic panel levels toward each end of the free momentum rule
-
-
-def _compact_momentum_rule(state: StateLabel) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature on p in [0, inf) built in the compact variable of M(p).
-
-    Substituting y = (1 - eta^2 p^2) / (1 + eta^2 p^2) maps the half line
-    to [-1, 1], where the momentum wavefunction is polynomial up to
-    endpoint powers.  Dyadic refinement toward both endpoints resolves the
-    half-integer powers there; 40 levels reach p ~ 2^20 / eta, far past
-    where any tabulated moment integrand carries mass.
-    """
-    steps = 0.5 ** np.arange(1, _COMPACT_LEVELS + 1)
-    edges = np.concatenate(([-1.0], -1.0 + steps[::-1], 1.0 - steps, [1.0]))
-    y, wy = composite_gauss(edges, _COMPACT_ORDER)
-    eta = state.eta
-    p = np.sqrt((1.0 - y) / (1.0 + y)) / eta
-    jac = 1.0 / (eta * (1.0 + y) * np.sqrt(1.0 - y * y))
-    return p, wy * jac
 
 
 def free_momentum_report(state: StateLabel) -> MeasureReport:
     """Quadrature-based measures of the free atom's momentum density."""
-    p, w = _compact_momentum_rule(state)
+    p, w = semi_axis_rule(1.0 / state.eta)
     return _radial_report("momentum", p, w, *free_radial_momentum_wf(state, p))
-

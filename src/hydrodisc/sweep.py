@@ -320,10 +320,11 @@ def parse_states(text: str) -> tuple[tuple[int, int], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad state {chunk!r}, expected 'n,m'")
-        states.append((int(parts[0]), int(parts[1])))
+        try:
+            n, m = (int(part) for part in chunk.split(","))
+        except ValueError:  # a part that is no integer, or not two parts
+            raise ValueError(f"bad state {chunk!r}, expected 'n,m'") from None
+        states.append((n, m))
     return tuple(states)
 
 
@@ -357,7 +358,10 @@ def config_from(
     for key, raw in (file_values or {}).items():
         if key not in SETTINGS:
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = SETTINGS[key][0](raw)
+        try:
+            merged[key] = SETTINGS[key][0](raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     merged.update((key, value) for key, value in flag_values.items() if value is not None)
     return SweepConfig(**merged)
 

@@ -100,9 +100,26 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "run").exists()
 
 
-def test_bad_state_string_is_usage_error(capsys):
-    assert main(["sweep", "--states", "5"]) == EXIT_USAGE
-    assert "bad state" in capsys.readouterr().err
+def test_bad_state_string_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    for text in ("5", "1,x"):
+        assert main(["sweep", "--states", text, "--out", str(out)]) == EXIT_USAGE
+        assert f"bad state {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("points", "abc"), ("r0_min", "x"), ("emit_plot_data", "maybe"), ("states", "1,x")],
+)
+def test_bad_config_value_names_its_key(tmp_path, capsys, key, value):
+    """A config value that fails to parse is a usage error that names its key."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_state_list_is_usage_error(tmp_path, capsys):

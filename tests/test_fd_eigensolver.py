@@ -90,6 +90,18 @@ def test_tight_wall_approaches_bessel_zero():
     assert abs(shifts[0] / shifts[1] - 1.0) < 0.01
 
 
+@pytest.mark.parametrize(
+    "n, m, r0",
+    [(2, 0, 0.75), (3, 0, 0.75), (4, 0, 0.75), (3, 1, 3.75), (4, 1, 3.75), (4, 2, 8.75)],
+)
+def test_exact_degeneracies(n, m, r0):
+    """(n, m) and (n+1, m+2) share one level at r0 = (m + 1/2)(m + 3/2)."""
+    assert r0 == (m + 0.5) * (m + 1.5)
+    level = oracle_energy(StateLabel(n, m), r0)
+    partner = oracle_energy(StateLabel(n + 1, m + 2), r0)
+    assert abs(partner / level - 1.0) < 1e-12
+
+
 def test_validation_errors():
     for r0 in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):

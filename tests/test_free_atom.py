@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -224,6 +225,45 @@ def test_momentum_wavefunction_origin_limits():
         v, d = free_radial_momentum_wf(StateLabel(n, m), np.array([0.0]))
         assert v[0] == 0.0
         assert np.isfinite(d[0])
+
+
+def _mp_momentum_wf(st):
+    """M(p) at the working precision, in the textbook (1 + y), (1 - y) form.
+
+    The Gegenbauer polynomial comes from its three-term recurrence and the
+    norm from quadrature, so no closed form of free_atom enters.
+    """
+    eta = st.n - mpmath.mpf(1) / 2
+    l, k = st.l, st.n_r
+    alpha = l + mpmath.mpf(1) / 2
+
+    def gegenbauer(y):
+        prev, cur = 0, mpmath.mpf(1)
+        for j in range(1, k + 1):
+            prev, cur = cur, (2 * y * (j + alpha - 1) * cur - (j + 2 * alpha - 2) * prev) / j
+        return cur
+
+    norm_sq = mpmath.quad(lambda y: (1 - y * y) ** l * gegenbauer(y) ** 2, [-1, 1])
+
+    def wf(p):
+        y = (1 - (eta * p) ** 2) / (1 + (eta * p) ** 2)
+        weight = (1 + y) ** ((l + 3) / mpmath.mpf(2)) * (1 - y) ** (l / mpmath.mpf(2))
+        return eta * weight * gegenbauer(y) / mpmath.sqrt(norm_sq)
+
+    return wf
+
+
+def test_momentum_wavefunction_against_mpmath():
+    """M and dM/dp to 1e-13 relative against 40-digit mpmath, down to p = 1e-6."""
+    with mpmath.workdps(40):
+        for n, m in ((1, 0), (2, 1), (3, 1), (3, 2), (4, 0)):
+            st = StateLabel(n, m)
+            wf = _mp_momentum_wf(st)
+            for p in (1e-6, 1e-3, 0.7, 30.0):
+                value, deriv = free_radial_momentum_wf(st, np.array([p]))
+                p_mp = mpmath.mpf(p)
+                assert abs(value[0] / float(wf(p_mp)) - 1.0) < 1e-13, (st.label, p)
+                assert abs(deriv[0] / float(mpmath.diff(wf, p_mp)) - 1.0) < 1e-13, (st.label, p)
 
 
 def test_momentum_wavefunction_derivative_fd():

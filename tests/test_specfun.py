@@ -145,10 +145,11 @@ def test_composite_rule_reuses_gauss_nodes():
 
 
 def test_semi_axis_rule_gamma_integrals():
-    """Int_0^inf x^k e^-x dx = k! for the exponential-decay rule."""
+    """Int_0^inf x^k e^-x dx = k!, and Int_0^inf dx / (1+x^2)^2 = pi/4, on one rule."""
     x, w = semi_axis_rule(1.0)
     for k in (0, 1, 3, 6):
         assert abs(np.sum(w * x**k * np.exp(-x)) - math.factorial(k)) < 1e-12
+    assert abs(np.sum(w / (1.0 + x * x) ** 2) - math.pi / 4.0) < 1e-14
     with pytest.raises(ValueError):
         semi_axis_rule(0.0)
 

@@ -25,6 +25,7 @@ from .confined import coulomb_expectation, solve
 from .fd_eigensolver import oracle_energy
 from .free_atom import StateLabel, free_energy, free_measures, table1_states
 from .measures import NORM_TOLERANCE, free_momentum_report, free_position_report
+from .momentum import RadialMomentumTable, build_table
 from .specfun import brent_root
 from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
 
@@ -241,26 +242,32 @@ def criterion_7(grid: list[PointEvaluation]) -> tuple[bool, str]:
     return (not problems, detail)
 
 
-def _kinetic_residual(p: PointEvaluation) -> float:
+def _kinetic_residual(p: PointEvaluation, table: RadialMomentumTable) -> float:
     """Relative gap between the table's own <p^2> and 2<T> = 2(E + <1/r>).
 
     The reported momentum <p^2> is 2<T> by construction, so the identity is
     checked against the momentum-space quadrature with its tail instead.
     """
-    table_second = p.table.moment(2)
+    table_second = table.moment(2)
     kinetic = 2.0 * (p.cs.energy + coulomb_expectation(p.cs))
     return abs(table_second - kinetic) / table_second
 
 
 def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
-    """Uncertainty products, moment bounds, norms, Parseval, kinetic identity.
+    """Uncertainty products, moment bounds, norms, Parseval, kinetic identity, <p>.
 
+    The sweep takes every momentum measure from position space, so each
+    point's momentum table is built here, as the check that shares no code
+    with them: its Parseval norm |Int H^2 p dp - 1| joins the two reported
+    norm residuals, its own <p^2> quadrature is held against 2<T> (1e-4),
+    and its <p> against the reported one (1e-5; the table's own error is
+    below 4e-7 on the default grid).
     The Fisher product bound F[rho] F[gamma] >= 16 holds for real
     wavefunctions, so it is checked on the m = 0 states only; for m != 0 the
     product can fall below 16 (the free 2p state reaches about 10.7).
     """
     problems = []
-    worst_kin = worst_norm = 0.0
+    worst_kin = worst_norm = worst_mean = 0.0
     worst_ff = math.inf
     for p in grid:
         st = p.state
@@ -273,17 +280,23 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
             problems.append(f"{st.label} r0={p.r0:.3f} <r^2>F[rho] < 4")
         if p.mom.second_moment * p.mom.fisher < 4.0:
             problems.append(f"{st.label} r0={p.r0:.3f} <p^2>F[gamma] < 4")
-        parseval = p.pos.norm_residual + p.mom.norm_residual
+        table = build_table(p.cs)
+        parseval = p.pos.norm_residual + p.mom.norm_residual + abs(table.moment(0) - 1.0)
         worst_norm = max(worst_norm, parseval)
-        if parseval > NORM_TOLERANCE:  # both residuals are >= 0
+        if parseval > NORM_TOLERANCE:  # every term is >= 0
             problems.append(f"{st.label} r0={p.r0:.3f} norm residual {parseval:.2e}")
-        rel = _kinetic_residual(p)
+        rel = _kinetic_residual(p, table)
         worst_kin = max(worst_kin, rel)
         if rel > 1e-4:
             problems.append(f"{st.label} r0={p.r0:.3f} kinetic identity off {rel:.2e}")
+        gap = abs(p.mom.mean / table.moment(1) - 1.0)
+        worst_mean = max(worst_mean, gap)
+        if not gap <= 1e-5:  # a nan gap fails too
+            problems.append(f"{st.label} r0={p.r0:.3f} <p> off the table's by {gap:.2e}")
     detail = (
         f"{len(grid)} points: min F*F (m=0) {worst_ff:.3f}, worst norm/Parseval "
-        f"{worst_norm:.1e}, worst kinetic residual {worst_kin:.1e}"
+        f"{worst_norm:.1e}, worst kinetic residual {worst_kin:.1e}, worst <p> gap "
+        f"to the table {worst_mean:.1e}"
     )
     return (not problems, detail if not problems else "; ".join(problems[:4]))
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import eval_gegenbauer, eval_genlaguerre, gamma, gammaln
@@ -106,27 +107,26 @@ def position_mean(state: StateLabel) -> float:
 def momentum_mean(state: StateLabel) -> float:
     """<p> where a closed form exists: ns and circular states.
 
-    A circular state has <p> = Gamma(n + 1/2)^2 / (eta n Gamma(n)^2); an ns
-    state the alternating finite sum below.  No general closed form for <p>
-    is known; other states raise ValueError.
+    A circular state has <p> = Gamma(n + 1/2)^2 / (eta n Gamma(n)^2).  An ns
+    state has the alternating sum over j < n of
+    (-1)^j (2j+1)/(2j+2) Gamma(j + 1/2)^2/j!^4 (n+j-1)!/(n-j-1)!, whose terms
+    are pi times the rationals (-1)^j (2j+1)/(2j+2) (2j)!^2/(16^j j!^6)
+    (n+j-1)!/(n-j-1)!; they cancel heavily as n grows, so they are summed
+    exactly and multiplied by pi once.  No general closed form for <p> is
+    known; other states raise ValueError.
     """
     n = state.n
     if state.l == state.n - 1:
         return float((1.0 / state.eta) * gamma(n + 0.5) * gamma(n + 0.5) / (n * gamma(n) ** 2))
     if state.l != 0:
         raise ValueError(f"<p> has no implemented closed form for {state.label}")
-    total = 0.0
-    for j in range(n):
-        total += (
-            (-1.0) ** j
-            * (2.0 * j + 1.0)
-            / (2.0 * j + 2.0)
-            * gamma(j + 0.5) ** 2
-            / gamma(j + 1.0) ** 4
-            * gamma(n + j)
-            / gamma(n - j)
-        )
-    return float(total)
+    f = math.factorial
+    total = sum(
+        Fraction((-1) ** j * (2 * j + 1) * f(2 * j) ** 2 * f(n + j - 1),
+                 (2 * j + 2) * 16**j * f(j) ** 6 * f(n - j - 1))
+        for j in range(n)
+    )
+    return math.pi * float(total)
 
 
 def free_measures(state: StateLabel) -> FreeMeasures:

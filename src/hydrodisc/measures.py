@@ -10,15 +10,15 @@ bounded below by 4 as well.
 
 Position-space integrals run on the same Gauss-Legendre wall grid the
 variational solver used, so the reported norm residual doubles as a check
-that the state object is self-consistent.  In momentum space two measures
-are exact identities of the position-space state with definite m and are
-evaluated on that same grid: <p^2> = 2<T> = Int (R'^2 + m^2 R^2/r^2) r dr,
-and the Fisher information F = 4<r^2> - 4 m^2 <p^-2> (Romera,
-Sanchez-Moreno & Dehesa, Chem. Phys. Lett. 414 (2005) 468).  Its <p^-2>
-follows from Int_0^inf J_m(pr) J_m(pr') p^-1 dp = (r_</r_>)^m/(2m) for
-m >= 1 (see _inverse_p_square).  Only the norm and <p> combine the panel
-quadrature stored in a RadialMomentumTable with its analytic large-p tail
-corrections.
+that the state object is self-consistent.  Every momentum measure is an
+exact identity of the position-space state with definite m and is
+evaluated from that state, with no momentum-space grid:
+<p^2> = 2<T> = Int (R'^2 + m^2 R^2/r^2) r dr, the Fisher information
+F = 4<r^2> - 4 m^2 <p^-2> (Romera, Sanchez-Moreno & Dehesa, Chem. Phys.
+Lett. 414 (2005) 468), and the norm, <p> and <p^-2> as double integrals
+over r and r' against the angular parts of the 2D kernels of p^-2 and p^-1
+(see momentum_measures).  The Hankel-transform table of momentum.py is
+their independent check in the acceptance battery and the tests.
 
 The free_*_report helpers evaluate the same measures for the analytic free
 atom by direct quadrature, both on specfun.semi_axis_rule: scaled by <r>
@@ -29,6 +29,7 @@ solver must approach them as the wall recedes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,7 @@ from .free_atom import (
     free_radial_position_wf,
     position_mean,
 )
-from .momentum import RadialMomentumTable
-from .specfun import AccuracyError, gauss_legendre, semi_axis_rule
+from .specfun import AccuracyError, composite_gauss, semi_axis_rule, toroidal_q
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-4
-_INNER_ORDER = 32  # Gauss-Legendre order of the inner <p^-2> integral on [0, r]
 
 
 @dataclass(frozen=True)
@@ -117,49 +116,94 @@ def position_measures(cs: ConfinedState) -> MeasureReport:
     return _radial_report("position", r, w, *cs.radial(r))
 
 
-def _inverse_p_square(cs: ConfinedState) -> float:
-    """<p^-2> = Int H^2 p^-1 dp of an m >= 1 state, as a position-space integral.
+# panel edges in t = 1 - s: 0, 0.2^11, ..., 0.2, 0.5, 1
+_COUPLING_EDGES = np.concatenate(([0.0], 0.2 ** np.arange(11, 0, -1), [0.5, 1.0]))
+_COUPLING_ORDER = 12  # Gauss-Legendre order per panel of the coupling rule
+_OUTER_BLOCK = 25  # outer nodes whose inner grid is evaluated at once
 
-    Inserting H(p) = Int R J_m(pr) r dr and the 2D closure integral
-    Int_0^inf J_m(pr) J_m(pr') p^-1 dp = (r_</r_>)^m/(2m) gives
 
-        <p^-2> = (1/m) Int_0^r0 R r^(1-m) [Int_0^r R r'^(1+m) dr'] dr.
+def _coupling_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s on [0, 1], their complements t = 1 - s, and weights of the inner rule.
 
-    The outer integral runs on the solver's grid; the inner one maps a
-    fixed Gauss-Legendre rule onto [0, r] at every node, on which the
-    integrand is smooth.
+    12-point Gauss-Legendre panels on s-edges 0, 0.5, 1 - 0.2, 1 - 0.2^2,
+    ..., 1 - 0.2^11, 1: graded toward s = 1, where Q_(k-1/2) has its
+    logarithmic singularity, and split at s = 0.5, where one panel over
+    [0, 0.8] under-resolves the four radial nodes of a 5s state at r0 = 100
+    (1.1e-9 on <p>, against 4e-10 for every n <= 5 probe with the split).
+    The rule is built in t, so 1 - s is exact at every node.
+    """
+    t, w = composite_gauss(_COUPLING_EDGES, _COUPLING_ORDER)
+    return 1.0 - t, t, w
+
+
+def momentum_measures(cs: ConfinedState) -> MeasureReport:
+    """Measures of the momentum density of cs, all from position-space integrals.
+
+    <p^2> is twice the kinetic energy and F = 4<r^2> - 4 m^2 <p^-2>.  The
+    gradient of R e^(im theta) splits into e^(i(m +- 1) theta) parts with
+    radial factors f_+- = R' -+ m R/r, of angular order k = |m +- 1|, and
+    in momentum space each part is i(p_x +- i p_y) times the amplitude, of
+    modulus p.  Hence each sign gives the norm as <f, p^-2 f> and <p> as
+    <f, p^-1 f>.  In 2D the kernel of p^-1 is 1/(2 pi |x - y|), whose
+    order-k angular part is Q_(k-1/2)(chi)/(pi (r r')^(1/2)) with
+    chi = 1 + (r - r')^2/(2 r r'); the kernel of p^-2 is -ln|x - y|/(2 pi),
+    whose order-k part is (r_</r_>)^k/(2k), or -ln r_> for k = 0.  The
+    integrands are symmetric in r <-> r', so the square is halved and
+    r' = r s with s in [0, 1], where chi - 1 = (1 - s)^2/(2s) depends on s
+    alone:
+
+        <p>   = (1/2 pi) Sum_+- 2 Int f(r) r^2 Int_0^1 f(rs) s^(1/2) Q_(k-1/2)(chi) ds dr,
+        N_+-  = 2 Int f(r) r^3 Int_0^1 f(rs) s G_k(s) ds dr,
+        G_k   = s^k/(2k) for k >= 1, G_0 = -ln r,
+        <p^-2> = (1/m) Int R r^3 Int_0^1 R(rs) s^(1+m) ds dr   (m >= 1).
+
+    The k = 0 part occurs at m = 1, where Int f_- r dr = r0 R(r0) = 0
+    removes the kernel's free constant.  For m = 0 the two signs coincide.
+    Each N_+- equals the norm, so the reported norm residual is
+    |(N_+ + N_-)/2 - 1|: a check of the product rule itself.  The outer
+    nodes are those of radial_rule(r0), the inner ones r s on the fixed
+    _coupling_rule, evaluated _OUTER_BLOCK outer nodes at a time: in one
+    piece the 31,200-point evaluation costs more time and memory.  Only
+    state, r0 and radial of cs are read.  AccuracyError is raised when the
+    norm residual exceeds NORM_TOLERANCE or the variance is not positive.
     """
     m = cs.state.l
     r, w = radial_rule(cs.r0)
-    nodes, weights = gauss_legendre(_INNER_ORDER)
-    half = 0.5 * r[:, None]
-    s = half * (nodes[None, :] + 1.0)
-    inner = (half * weights * cs.radial(s)[0] * s ** (m + 1)).sum(axis=1)
-    outer = w * cs.radial(r)[0] * r ** (1 - m)
-    return float(np.sum(outer * inner)) / m
-
-
-def momentum_measures(cs: ConfinedState, table: RadialMomentumTable) -> MeasureReport:
-    """Measures of the momentum density of cs, given its momentum table.
-
-    The norm and <p> come from the table, tail corrections included.  <p^2>
-    is twice the kinetic energy and F = 4<r^2> - 4 m^2 <p^-2>, all taken
-    in position space (see _inverse_p_square).
-    """
-    if table.state != cs.state or table.r0 != cs.r0:
-        raise ValueError(
-            f"momentum table of {table.state.label} at r0={table.r0} does not belong "
-            f"to {cs.state.label} at r0={cs.r0}"
-        )
-    r, w = radial_rule(cs.r0)
+    s, t, ws = _coupling_rule()
+    # (sign, k) of each part f = R' - sign m R/r; for m = 0 the one part is doubled
+    parts = [(1.0, 1)] if m == 0 else [(1.0, m + 1), (-1.0, m - 1)]
+    # per part, the inner weights of <p> and of the norm (G_0's -ln r is applied outside)
+    kernels = [
+        np.stack([ws * np.sqrt(s) * toroidal_q(k, t * t / (2.0 * s)),
+                  ws * s ** (k + 1) / (2 * k) if k else ws * s], axis=1)
+        for _, k in parts
+    ]
+    inner = np.empty((len(parts), r.size, 2))
+    inner_radial = np.empty(r.size)
+    for lo in range(0, r.size, _OUTER_BLOCK):
+        block = slice(lo, lo + _OUTER_BLOCK)
+        x = r[block, None] * s
+        value, deriv = cs.radial(x)
+        for i, (sign, _) in enumerate(parts):
+            inner[i, block] = (deriv - sign * m * value / x) @ kernels[i]
+        inner_radial[block] = value @ (ws * s ** (1 + m))
     value, deriv = cs.radial(r)
-    m_sq = float(cs.state.l**2)
+    mean = 0.0
+    norms = []
+    for i, (sign, k) in enumerate(parts):
+        f = 2.0 * w * (deriv - sign * m * value / r) * r * r
+        mean += float(np.sum(f * inner[i, :, 0])) / (2.0 * math.pi)
+        norm_kernel = inner[i, :, 1] if k else -np.log(r) * inner[i, :, 1]
+        norms.append(float(np.sum(f * r * norm_kernel)))
+    if m == 0:
+        mean *= 2.0
+    m_sq = float(m * m)
     second = float(np.sum(w * (deriv * deriv + m_sq * value * value / (r * r)) * r))
     fisher = 4.0 * float(np.sum(w * value * value * r**3))
-    if m_sq:
-        fisher -= 4.0 * m_sq * _inverse_p_square(cs)
-    norm = table.moment(0)
-    return _build_report("momentum", table.moment(1), second, fisher, abs(norm - 1.0))
+    if m:
+        fisher -= 4.0 * m * float(np.sum(w * value * r**3 * inner_radial))
+    residual = abs(sum(norms) / len(norms) - 1.0)
+    return _build_report("momentum", mean, second, fisher, residual)
 
 
 def free_position_report(state: StateLabel) -> MeasureReport:

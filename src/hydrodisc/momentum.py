@@ -12,12 +12,11 @@ so that Int H^2 p dp = 1 mirrors the position normalization
 Int R^2 r dr = 1.  hankel_transform returns H and RadialMomentumTable
 stores it.
 
-The table supplies the two quantities the measures still take in momentum
-space: the norm (the Parseval check) and <p>.  <p^2> = 2<T> and the Fisher
-information F = 4<r^2> - 4 m^2 <p^-2> are exact identities of the
-position-space state and are evaluated there (see measures), so the table
-carries values only, no derivative; its <p^2> remains as a check of the
-kinetic identity.
+The measures take every momentum quantity from position space (see
+measures), so the table is their independent check, built by acceptance
+criterion 8 and the tests, not by the sweep: its norm (the Parseval check)
+and <p> are held against the position-space values, and its <p^2> against
+the kinetic identity.  It carries values only, no derivative.
 
 The r-integral is oscillatory: equal composite 32-point Gauss-Legendre
 panels each span at most 8 Bessel periods 2 pi/p and 40/kappa of the
@@ -47,8 +46,8 @@ smooth H(p) -> -R'(0)/p^3 term.  Only under the free-atom cusp R'(0) = -2 R(0)
 is this 2 R(0)/p^3 (for the free ground state exactly (eta p)^-3); a
 confined trial misses the cusp by a few percent (2s at r0 = 6: -R'(0) =
 1.707 against 2 R(0) = 1.782), so build_table stores the wall slope and
-the origin slope -R'(0), and the table exposes the analytic tail
-corrections the measures add beyond p_max; the grid is extended until the
+the origin slope -R'(0), and the table adds the analytic tail
+corrections beyond p_max to its moments; the grid is extended until the
 corrected moments are stable octave to octave.
 """
 
@@ -206,11 +205,11 @@ def build_table(cs: ConfinedState) -> RadialMomentumTable:
     where the momentum content scales with the confinement, and to 4 p_tail
     where the wall term's tail mass W(p) = r0 R'(r0)^2/(3 pi p^3) falls to
     _TAIL_TOLERANCE at a p_tail beyond that cap, as in tight walls of
-    n >= 4 states) until the tail-corrected moments the measures read from
+    n >= 4 states) until the tail-corrected moments the checks read from
     the table are stable from one octave to the next and the estimated tail
     mass is below _TAIL_TOLERANCE.  Those moments are Int H^2 p^(k+1) dp
     for k = 0 (the norm) and k = 1 (<p>).  The k = 2 moment stays available
-    but does not drive p_max: the measures take <p^2> from position space.
+    but does not drive p_max: it is only held against the kinetic identity.
     Each octave's panels are transformed once, at all their Kronrod nodes;
     the earlier panels keep their values.
 

@@ -3,15 +3,17 @@
 A sweep solves every requested state at every wall radius, computes the
 position and momentum measures, and collects one row per point.  `evaluate`
 is the one (state, r0) pipeline: `evaluate_point` projects its result onto
-a row, and `hydrodisc verify` reads the whole result (solved state, table,
-both reports).  Numerical failures (non-converged solve, unmet quadrature
-accuracy) are isolated: the affected row keeps its identifying columns and
-the numbers of every stage that finished (a momentum failure keeps
-alpha_opt, energy and the position columns), carries nan in the columns of
-the failed and later stages and an error marker in a trailing field, and
-the rest of the sweep proceeds.  Rows come in (n, m, r0) order and are
-printed in full-precision scientific notation so identical configurations
-give byte-identical files.
+a row, and `hydrodisc verify` reads the whole result (solved state and
+both reports).  Every momentum measure is a position-space integral (see
+measures.momentum_measures), so no point builds a momentum table.
+Numerical failures (non-converged solve, unmet quadrature accuracy) are
+isolated: the affected row keeps its identifying columns and the numbers
+of every stage that finished (a momentum failure keeps alpha_opt, energy
+and the position columns), carries nan in the columns of the failed and
+later stages and an error marker in a trailing field, and the rest of the
+sweep proceeds.  Rows come in (n, m, r0) order and are printed in
+full-precision scientific notation so identical configurations give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .confined import MAX_WALL_RADIUS, MIN_WALL_RADIUS, ConfinedState, solve
 from .free_atom import StateLabel, free_measures, table1_states
 from .measures import MeasureReport, momentum_measures, position_measures
-from .momentum import RadialMomentumTable, build_table
 from .specfun import AccuracyError, ConvergenceError
 
 __all__ = [
@@ -155,7 +156,6 @@ class PointEvaluation:
     r0: float
     cs: ConfinedState | None = None
     pos: MeasureReport | None = None
-    table: RadialMomentumTable | None = None
     mom: MeasureReport | None = None
     stage: str | None = None
     error: ConvergenceError | AccuracyError | None = None
@@ -176,11 +176,10 @@ def evaluate(state: StateLabel, r0: float) -> PointEvaluation:
     except AccuracyError as exc:
         return PointEvaluation(state, r0, cs, stage="position", error=exc)
     try:
-        table = build_table(cs)
-        mom = momentum_measures(cs, table)
+        mom = momentum_measures(cs)
     except AccuracyError as exc:
         return PointEvaluation(state, r0, cs, pos, stage="momentum", error=exc)
-    return PointEvaluation(state, r0, cs, pos, table, mom)
+    return PointEvaluation(state, r0, cs, pos, mom)
 
 
 def evaluate_point(n: int, m: int, r0: float) -> SweepRow:

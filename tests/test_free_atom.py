@@ -93,6 +93,24 @@ def test_momentum_means_are_pi_multiples():
         assert abs(momentum_mean(st) - EXACT[st.label]["mean_p"]) < 1e-14
 
 
+def test_ns_momentum_means_against_mpmath():
+    """The ns <p> sum cancels as n grows; summed exactly it holds 1e-14 up to 20s.
+
+    The reference is the same sum of Gamma ratios in 40-digit mpmath.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        for n in range(1, 21):
+            exact = mpmath.fsum(
+                (-1) ** j * mpmath.mpf(2 * j + 1) / (2 * j + 2)
+                * mpmath.gamma(j + half) ** 2 / mpmath.gamma(j + 1) ** 4
+                * mpmath.gamma(n + j) / mpmath.gamma(n - j)
+                for j in range(n)
+            )
+            assert abs(momentum_mean(StateLabel(n, 0)) / exact - 1) < 1e-14, n
+
+
 def test_cramer_rao_is_product():
     for st in table1_states():
         fm = free_measures(st)

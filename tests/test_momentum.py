@@ -90,7 +90,7 @@ def test_fisher_identity_matches_derivative_quadrature(label, r0):
     dh = jvp(m, np.outer(p, r)) @ wrr
     tail = 4.0 * r0**3 * cs.radial([r0])[1][0] ** 2 / (3.0 * math.pi * p_end**3)
     fisher = 4.0 * float(np.sum(wp * dh * dh * p)) + tail
-    reported = momentum_measures(cs, build_table(cs)).fisher
+    reported = momentum_measures(cs).fisher
     assert abs(fisher / reported - 1.0) < 1e-6
 
 

@@ -19,6 +19,7 @@ from hydrodisc.specfun import (
     gauss_kronrod,
     gauss_legendre,
     semi_axis_rule,
+    toroidal_q,
 )
 from hydrodisc.sweep import DEFAULT_STATES, SweepConfig, radii
 
@@ -207,6 +208,43 @@ def test_bessel_j_against_mpmath(z):
         assert_allclose(bessel_j(m, z), _mpmath_j(m, z), rtol=0, atol=1e-13)
         assert type(bessel_j(m, 60.0)) is float
     assert bessel_j(2, 70.0) == pytest.approx(_mpmath_j(2, [70.0])[0], abs=1e-13)
+
+
+def _mpmath_q(k, chi_minus_1):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([
+            float(mpmath.re(mpmath.legenq(k - 0.5, 0, 1 + mpmath.mpf(d), type=3)))
+            for d in chi_minus_1
+        ])
+
+
+def test_toroidal_q_against_mpmath():
+    """Q_(k-1/2)(chi) for k <= 5 within 1e-13 relative of 40-digit mpmath.
+
+    chi - 1 runs from 1e-24, where chi rounds to 1, to 1e3, and includes
+    both sides of chi = 1.5 and of the switch from the elliptic start to
+    the hypergeometric form.
+    """
+    split = specfun._TOROIDAL_SPLIT
+    d = np.concatenate((
+        np.geomspace(1e-24, 1e3, 82),
+        [0.5 * (1 - 1e-9), 0.5, 0.5 * (1 + 1e-9), split * (1 - 1e-9), split * (1 + 1e-9)],
+    ))
+    for k in range(6):
+        assert_allclose(toroidal_q(k, d), _mpmath_q(k, d), rtol=1e-13, atol=0, err_msg=f"k={k}")
+
+
+def test_toroidal_q_where_chi_rounds_to_one():
+    """Given chi - 1 directly, Q stays finite and keeps growing as chi -> 1."""
+    d = np.array([1e-300, 1e-100, 1e-30, 1e-17])
+    assert np.all(1.0 + d == 1.0)
+    for k in range(6):
+        q = toroidal_q(k, d)
+        assert np.all(np.isfinite(q)), k
+        assert np.all(np.diff(q) < 0.0), k
+    with pytest.raises(ValueError):
+        toroidal_q(-1, d)
 
 
 def test_bessel_j_at_zero():

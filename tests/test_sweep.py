@@ -7,7 +7,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from hydrodisc import momentum, sweep
+from hydrodisc import measures, sweep
 from hydrodisc.sweep import (
     CSV_HEADER,
     DEFAULT_STATES,
@@ -158,8 +158,9 @@ def test_worker_pool_never_exceeds_the_point_count(monkeypatch, jobs, pools):
 
 
 def test_evaluate_point_isolates_accuracy_failure(monkeypatch):
-    # a Gauss-Kronrod check nothing passes makes build_table raise AccuracyError
-    monkeypatch.setattr(momentum, "_KRONROD_TOLERANCE", 0.0)
+    # a nan toroidal function makes <p>, and so the momentum variance, nan:
+    # momentum_measures raises AccuracyError on a variance that is not positive
+    monkeypatch.setattr(measures, "toroidal_q", lambda k, d: np.full_like(d, np.nan))
     row = evaluate_point(1, 0, 2.0)
     assert row.error is not None and row.error.startswith("momentum:")
     assert "," not in row.error and "\n" not in row.error

@@ -1,9 +1,10 @@
 """Information measures of the two-dimensional hydrogen atom in a hard disc.
 
 The package covers the free atom in closed form, a variational solver for
-the confined states, Hankel transforms to momentum space, and a sweep CLI
-that tracks variance, Fisher information and their Cramer-Rao product as
-the wall radius shrinks.
+the confined states, momentum-space measures computed from position space
+(and checked against a Hankel transform to momentum space), and a sweep
+CLI that tracks variance, Fisher information and their Cramer-Rao product
+as the wall radius shrinks.
 """
 
 from .confined import ConfinedState, coulomb_expectation, solve

@@ -56,7 +56,6 @@ __all__ = [
     "radial_rule",
     "ritz_basis",
     "node_coefficients",
-    "energy_functional",
     "solve",
     "coulomb_expectation",
     "MIN_WALL_RADIUS",
@@ -75,8 +74,7 @@ def radial_rule(r0: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss-Legendre rule on [0, r0].
 
     Every radial integral of a confined state runs on this one rule: the
-    solver's matrix elements, the energy functional and the position-space
-    measures.
+    solver's matrix elements and the position-space measures.
     """
     return composite_gauss(np.array([0.0, r0]), _RADIAL_ORDER)
 
@@ -158,11 +156,11 @@ def node_coefficients(
     state would forfeit.  The row scale is folded back into the weights, so
     R = weights @ basis has Int R^2 r dr = 1 on the rule; the sign makes
     R > 0 next to the origin.  The energy is the Rayleigh quotient of that
-    trial on the same rule (r, w), which energy_functional evaluates
-    independently.  A scalar alpha gives a scalar energy and (K,) weights;
-    a 1-D alpha solves every alpha in one stacked call, giving (A,) energies
-    and (A, K) weights.  ConvergenceError is raised when an overlap matrix
-    is not positive definite on the rule.
+    trial on the same rule (r, w), and the package's only E(alpha).  A
+    scalar alpha gives a scalar energy and (K,) weights; a 1-D alpha solves
+    every alpha in one stacked call, giving (A,) energies and (A, K)
+    weights.  ConvergenceError is raised when an overlap matrix is not
+    positive definite on the rule.
     """
     s_mat, h_mat, scale = _ritz_matrices(state, r0, alpha, rule)
     try:
@@ -173,27 +171,6 @@ def node_coefficients(
     vals, vecs = np.linalg.eigh(inv_chol @ h_mat @ inv_chol_t)
     weights = (inv_chol_t @ vecs[..., state.n_r : state.n_r + 1])[..., 0] * scale
     return vals[..., state.n_r], np.where(weights[..., :1] < 0, -weights, weights)
-
-
-def energy_functional(
-    state: StateLabel,
-    r0: float,
-    alpha: float,
-    rule: tuple[np.ndarray, np.ndarray],
-    weights: tuple[float, ...] | np.ndarray,
-) -> float:
-    """Rayleigh quotient E(alpha) of the trial weights @ ritz_basis on the rule (r, w)."""
-    r, w = rule
-    values, derivs = ritz_basis(state, r0, alpha, r)
-    if len(weights) != len(values):
-        raise ValueError(f"{state.label} takes {len(values)} Ritz weights, got {len(weights)}")
-    f, df = weights @ values, weights @ derivs
-    norm = np.sum(w * f * f * r)
-    kinetic = 0.5 * np.sum(w * df * df * r)
-    if state.l > 0:
-        kinetic += 0.5 * state.l**2 * np.sum(w * f * f / r)
-    potential = -np.sum(w * f * f)  # -1/r against the r weight
-    return float((kinetic + potential) / norm)
 
 
 @dataclass(frozen=True)

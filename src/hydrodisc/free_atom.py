@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import eval_gegenbauer, eval_genlaguerre, gamma, gammaln
+from scipy.special import eval_gegenbauer, eval_genlaguerre, gammaln
 
 __all__ = [
     "StateLabel",
@@ -107,25 +107,29 @@ def position_mean(state: StateLabel) -> float:
 def momentum_mean(state: StateLabel) -> float:
     """<p> where a closed form exists: ns and circular states.
 
-    A circular state has <p> = Gamma(n + 1/2)^2 / (eta n Gamma(n)^2).  An ns
+    A circular state has <p> = Gamma(n + 1/2)^2 / (eta n Gamma(n)^2); with
+    Gamma(n + 1/2)^2 = pi ((2n)!/(4^n n!))^2 and eta = (2n - 1)/2 that is pi
+    times the rational 2 (2n)!^2 / (16^n n!^2 (2n - 1) n (n-1)!^2).  An ns
     state has the alternating sum over j < n of
     (-1)^j (2j+1)/(2j+2) Gamma(j + 1/2)^2/j!^4 (n+j-1)!/(n-j-1)!, whose terms
     are pi times the rationals (-1)^j (2j+1)/(2j+2) (2j)!^2/(16^j j!^6)
-    (n+j-1)!/(n-j-1)!; they cancel heavily as n grows, so they are summed
-    exactly and multiplied by pi once.  No general closed form for <p> is
-    known; other states raise ValueError.
+    (n+j-1)!/(n-j-1)!; they cancel heavily as n grows.  Both rationals are
+    built exactly and multiplied by pi once, so neither overflows nor loses
+    digits at large n.  No general closed form for <p> is known; other
+    states raise ValueError.
     """
     n = state.n
-    if state.l == state.n - 1:
-        return float((1.0 / state.eta) * gamma(n + 0.5) * gamma(n + 0.5) / (n * gamma(n) ** 2))
-    if state.l != 0:
-        raise ValueError(f"<p> has no implemented closed form for {state.label}")
     f = math.factorial
-    total = sum(
-        Fraction((-1) ** j * (2 * j + 1) * f(2 * j) ** 2 * f(n + j - 1),
-                 (2 * j + 2) * 16**j * f(j) ** 6 * f(n - j - 1))
-        for j in range(n)
-    )
+    if state.l == n - 1:
+        total = Fraction(2 * f(2 * n) ** 2, 16**n * f(n) ** 2 * (2 * n - 1) * n * f(n - 1) ** 2)
+    elif state.l == 0:
+        total = sum(
+            Fraction((-1) ** j * (2 * j + 1) * f(2 * j) ** 2 * f(n + j - 1),
+                     (2 * j + 2) * 16**j * f(j) ** 6 * f(n - j - 1))
+            for j in range(n)
+        )
+    else:
+        raise ValueError(f"<p> has no implemented closed form for {state.label}")
     return math.pi * float(total)
 
 

@@ -95,11 +95,17 @@ def test_tight_wall_approaches_bessel_zero():
     [(2, 0, 0.75), (3, 0, 0.75), (4, 0, 0.75), (3, 1, 3.75), (4, 1, 3.75), (4, 2, 8.75)],
 )
 def test_exact_degeneracies(n, m, r0):
-    """(n, m) and (n+1, m+2) share one level at r0 = (m + 1/2)(m + 3/2)."""
+    """(n, m) and (n+1, m+2) share one level at r0 = (m + 1/2)(m + 3/2).
+
+    Each partner also holds its 30-digit mpmath level to 5e-13 relative;
+    the worst, 4s at r0 = 3/4, is off by 1.4e-13.
+    """
     assert r0 == (m + 0.5) * (m + 1.5)
     level = oracle_energy(StateLabel(n, m), r0)
     partner = oracle_energy(StateLabel(n + 1, m + 2), r0)
     assert abs(partner / level - 1.0) < 1e-12
+    for state_m, energy in ((m, level), (m + 2, partner)):
+        assert abs(energy / _mpmath_level(state_m, r0, energy) - 1.0) < 5e-13, (state_m, energy)
 
 
 def test_validation_errors():

@@ -111,6 +111,19 @@ def test_ns_momentum_means_against_mpmath():
             assert abs(momentum_mean(StateLabel(n, 0)) / exact - 1) < 1e-14, n
 
 
+def test_circular_momentum_means_against_mpmath():
+    """The circular <p> holds 1e-14 against 40-digit mpmath up to n = 200.
+
+    The reference is Gamma(n + 1/2)^2 / (eta n Gamma(n)^2) itself; in float
+    Gamma, Gamma(n)^2 overflows from n = 100 on.
+    """
+    with mpmath.workdps(40):
+        for n in [*range(2, 41), 100, 200]:
+            eta = n - mpmath.mpf(1) / 2
+            exact = mpmath.gamma(n + mpmath.mpf(1) / 2) ** 2 / (eta * n * mpmath.gamma(n) ** 2)
+            assert abs(momentum_mean(StateLabel(n, n - 1)) / exact - 1) < 1e-14, n
+
+
 def test_cramer_rao_is_product():
     for st in table1_states():
         fm = free_measures(st)
@@ -154,12 +167,12 @@ def test_momentum_mean_unsupported_state():
 
 
 def test_circular_rydberg_momentum_scale():
-    """<p> eta -> 1 as the circular states become classical orbits."""
+    """<p> eta -> 1 as the circular states become classical orbits, n = 200 included."""
     devs = []
-    for n in (10, 20, 40):
+    for n in (10, 20, 40, 100, 200):
         st = StateLabel(n, n - 1)
         devs.append(abs(momentum_mean(st) * st.eta - 1.0))
-    assert devs[0] > devs[1] > devs[2]
+    assert all(a > b for a, b in zip(devs, devs[1:]))
     assert devs[2] < 0.01
 
 

@@ -3,31 +3,33 @@
 Each criterion prints one pass/fail line.  `run_all` takes the default
 confinement sweep grid through the sweep's own evaluator once, timed on its
 own line, and hands it to every criterion; criteria that need points off
-that grid (r0 = 30, the crossing windows) evaluate them the same way.  A
-point whose solve or quadrature fails re-raises its error, naming the point.
-The time shown per criterion is its own marginal cost.  Criteria 5 and 9
-count the sign changes of a curve gap on a window's scan grid with one
-locator (_crossing); when the feature misses its window, the failure line
-says where it is: the sign changes on a wider grid, each refined by Brent's
-method.
+that grid (r0 = 30, the crossing windows) reach them the same way, through
+`_evaluated`.  A point whose solve or quadrature fails re-raises its error,
+naming the point.  The time shown per criterion is its own marginal cost.
+Criteria 5 and 9 count the sign changes of the gap between two states'
+curves on a window's scan grid with one locator (_crossing), the only memo
+here, which lasts one call; when the feature misses its window, the failure
+line says where it is: the sign changes on a wider grid, each refined by
+Brent's method.
 
 Run via `hydrodisc verify` or the pytest wrapper in tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 import numpy as np
 
-from .confined import coulomb_expectation, solve
+from .confined import coulomb_expectation
 from .fd_eigensolver import oracle_energy
 from .free_atom import StateLabel, free_energy, free_measures, table1_states
 from .measures import NORM_TOLERANCE, free_momentum_report, free_position_report
 from .momentum import RadialMomentumTable, build_table
 from .specfun import brent_root
-from .sweep import DEFAULT_STATES, PointEvaluation, SweepConfig, evaluate, radii
+from .sweep import PointEvaluation, SweepConfig, evaluate, radii
 
 __all__ = ["run_all", "CRITERIA"]
 
@@ -42,11 +44,14 @@ _TABLE1_PRINTED = {
 }
 
 
-def _complete(ev: PointEvaluation) -> PointEvaluation:
-    """The evaluation itself; a failed stage re-raises its error naming the point."""
+_STATES = {st.label: st for st in table1_states()}
+
+
+def _evaluated(state: StateLabel, r0: float) -> PointEvaluation:
+    """The sweep's evaluation of one point; a failed stage re-raises its error naming the point."""
+    ev = evaluate(state, r0)
     if ev.error is not None:
-        where = f"{ev.state.label} r0={ev.r0:g} {ev.stage}"
-        raise type(ev.error)(f"{where}: {ev.error}") from ev.error
+        raise type(ev.error)(f"{state.label} r0={r0:g} {ev.error}") from ev.error
     return ev
 
 
@@ -56,12 +61,19 @@ def _brackets(r, diff) -> list[tuple[float, float]]:
     return [(float(r[i]), float(r[i + 1])) for i in np.nonzero(signs[:-1] != signs[1:])[0]]
 
 
-def _crossing(gap, scan, wide) -> tuple[int, str]:
-    """Sign changes of gap on the scan grid, and where gap crosses zero.
+def _crossing(value, a: StateLabel, b: StateLabel, scan, wide) -> tuple[int, str]:
+    """Sign changes of the gap value(a, r0) - value(b, r0) on the scan grid, and its zeros.
 
     One change reads as its scan bracket.  Otherwise the text gives every
     sign change on the wide grid, each refined by Brent's method to 1e-4.
+    Each (state, r0) is evaluated once per call: the brackets Brent's method
+    refines end on grid radii, and the two grids may share radii.
     """
+    value_at = functools.cache(value)  # a new memo on every call
+
+    def gap(r0: float) -> float:
+        return value_at(a, r0) - value_at(b, r0)
+
     brackets = _brackets(scan, [gap(float(r)) for r in scan])
     if len(brackets) == 1:
         return 1, f"changes sign once, in [{brackets[0][0]:.2f}, {brackets[0][1]:.2f}]"
@@ -114,7 +126,7 @@ def criterion_2(grid: list[PointEvaluation]) -> tuple[bool, str]:
     problems = []
     worst = {"position": 0.0, "momentum": 0.0}
     for label in ("1s", "2p", "3d"):
-        st = next(s for s in table1_states() if s.label == label)
+        st = _STATES[label]
         fm = free_measures(st)
         pos, mom = free_position_report(st), free_momentum_report(st)
         for space, tol, checks in (
@@ -135,8 +147,8 @@ def criterion_3(grid: list[PointEvaluation]) -> tuple[bool, str]:
     problems = []
     worst = 0.0
     far = [p for p in grid if p.r0 == 40.0]
-    if len(far) != len(DEFAULT_STATES):
-        problems.append(f"the grid holds {len(far)} r0=40 points, not {len(DEFAULT_STATES)}")
+    if len(far) != len(_STATES):
+        problems.append(f"the grid holds {len(far)} r0=40 points, not {len(_STATES)}")
     for p in far:
         st = p.state
         de = abs(p.cs.energy - free_energy(st))
@@ -175,12 +187,10 @@ def criterion_4(grid: list[PointEvaluation]) -> tuple[bool, str]:
 
 def criterion_5(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """(2s;3d) energy inversion: exactly one sign change on [0.8, 1.3]."""
-    s2, d3 = StateLabel(2, 0), StateLabel(3, 2)
-
-    def gap(r0: float) -> float:
-        return solve(s2, r0).energy - solve(d3, r0).energy
-
-    changes, where = _crossing(gap, np.linspace(0.8, 1.3, 11), np.linspace(0.3, 1.3, 11))
+    changes, where = _crossing(
+        lambda st, r0: _evaluated(st, r0).cs.energy, _STATES["2s"], _STATES["3d"],
+        np.linspace(0.8, 1.3, 11), np.linspace(0.3, 1.3, 11),
+    )
     return (changes == 1, f"E(2s)-E(3d) {where}")
 
 
@@ -188,10 +198,9 @@ def criterion_6(grid: list[PointEvaluation]) -> tuple[bool, str]:
     """Cramer-Rao ordering 3d < 2p < 1s < 2s in both spaces at r0 = 30."""
     order = ["3d", "2p", "1s", "2s"]
     vals = {}
-    for n, m in DEFAULT_STATES:
-        st = StateLabel(n, m)
-        p = _complete(evaluate(st, 30.0))
-        vals[st.label] = (p.pos.cramer_rao, p.mom.cramer_rao)
+    for label, st in _STATES.items():
+        p = _evaluated(st, 30.0)
+        vals[label] = (p.pos.cramer_rao, p.mom.cramer_rao)
     ok = True
     for space, idx in (("position", 0), ("momentum", 1)):
         chain = [vals[lbl][idx] for lbl in order]
@@ -302,29 +311,14 @@ def criterion_8(grid: list[PointEvaluation]) -> tuple[bool, str]:
 
 
 def criterion_9(grid: list[PointEvaluation]) -> tuple[bool, str]:
-    """Momentum-variance crossings with the ground state in the stated windows.
-
-    The windows and the failure scan share radii, so each (state, r0) is
-    evaluated once, on first use, and its variance kept for this call; the
-    brackets Brent's method refines end on scan radii, so they reuse it too.
-    """
-    ground = StateLabel(1, 0)
-    variances: dict[tuple[StateLabel, float], float] = {}
-
-    def variance(st: StateLabel, r0: float) -> float:
-        if (st, r0) not in variances:
-            variances[st, r0] = _complete(evaluate(st, r0)).mom.variance
-        return variances[st, r0]
-
+    """Momentum-variance crossings with the ground state in the stated windows."""
     windows = {"2p": (1.0, 1.5), "3d": (1.5, 2.2), "2s": (2.3, 3.2)}
     counts, details = [], []
     for label, (lo, hi) in windows.items():
-        st = next(s for s in table1_states() if s.label == label)
-
-        def gap(r0: float) -> float:
-            return variance(st, r0) - variance(ground, r0)
-
-        changes, where = _crossing(gap, np.linspace(lo, hi, 7), np.arange(0.8, 3.61, 0.14))
+        changes, where = _crossing(
+            lambda st, r0: _evaluated(st, r0).mom.variance, _STATES[label], _STATES["1s"],
+            np.linspace(lo, hi, 7), np.arange(0.8, 3.61, 0.14),
+        )
         counts.append(changes)
         details.append(f"(1s;{label}) {where}")
     return (all(c == 1 for c in counts), "; ".join(details))
@@ -347,11 +341,7 @@ CRITERIA = [
 def run_all(verbose: bool = False) -> list[tuple[str, bool, str]]:
     """Evaluate all criteria; returns (name, passed, printed line) triples."""
     t0 = time.time()
-    grid = [
-        _complete(evaluate(StateLabel(n, m), float(r0)))
-        for n, m in DEFAULT_STATES
-        for r0 in radii(SweepConfig())
-    ]
+    grid = [_evaluated(st, float(r0)) for st in _STATES.values() for r0 in radii(SweepConfig())]
     if verbose:
         print(f"shared default-grid evaluation: {len(grid)} points "
               f"[{time.time() - t0:.1f}s]", flush=True)

@@ -51,8 +51,9 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
     / (2 r0^2), above the empty-disc level j_{|m|,n_r+1}^2 / (2 r0^2) (the
     Coulomb well only lowers it).  It is halved by node count until exactly
     one level lies inside, which Brent's method (specfun.brent_root) then
-    finds.  ValueError unless 0 < r0 < inf; ConvergenceError if the bracket
-    shrinks to rounding first or if Brent's search does not settle.
+    finds.  ValueError unless 0 < r0 < inf; ConvergenceError, naming the
+    level and r0, if the bracket shrinks to rounding first or if Brent's
+    search does not settle.
     """
     if not 0.0 < r0 < math.inf:
         raise ValueError(f"wall radius must be positive and finite, got {r0}")
@@ -69,7 +70,10 @@ def oracle_energy(state: StateLabel, r0: float) -> float:
             lo, nodes_lo = mid, nodes
         else:
             hi, nodes_hi = mid, nodes
-    return brent_root(lambda energy: _radial(energy, m, r0, 1.0), lo, hi, xtol=1e-15)
+    try:
+        return brent_root(lambda energy: _radial(energy, m, r0, 1.0), lo, hi, xtol=1e-15)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{state.label} level at r0={r0}: {exc}") from exc
 
 
 def _radial(energy: float, m: int, r0: float, x):

@@ -138,9 +138,8 @@ def radii(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.r0_min, cfg.r0_max, cfg.points)
 
 
-def _flatten_error(exc: Exception, stage: str) -> str:
-    text = f"{stage}: {exc}"
-    return text.replace(",", ";").replace("\n", " ")
+def _flatten_error(exc: Exception) -> str:
+    return str(exc).replace(",", ";").replace("\n", " ")
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class PointEvaluation:
     """One (state, r0) point taken through the pipeline as far as it got.
 
     The stages run in order (solve, position, momentum); the first that
-    fails sets `stage` and `error` and leaves its own and every later result
-    None.
+    fails sets `error`, whose text starts with the stage's name, and leaves
+    its own and every later result None.
     """
 
     state: StateLabel
@@ -157,29 +156,28 @@ class PointEvaluation:
     cs: ConfinedState | None = None
     pos: MeasureReport | None = None
     mom: MeasureReport | None = None
-    stage: str | None = None
     error: ConvergenceError | AccuracyError | None = None
 
 
 def evaluate(state: StateLabel, r0: float) -> PointEvaluation:
     """Solve one point, then compute its position and momentum measures.
 
-    Convergence and accuracy failures end the evaluation at their stage;
-    anything else (a genuine usage or programming error) propagates.
+    Convergence and accuracy failures end the evaluation at their stage,
+    re-raised as "stage: message" with the original as the cause; anything
+    else (a genuine usage or programming error) propagates.
     """
+    cs = pos = None
     try:
+        stage = "solve"
         cs = solve(state, r0)
-    except ConvergenceError as exc:
-        return PointEvaluation(state, r0, stage="solve", error=exc)
-    try:
+        stage = "position"
         pos = position_measures(cs)
-    except AccuracyError as exc:
-        return PointEvaluation(state, r0, cs, stage="position", error=exc)
-    try:
-        mom = momentum_measures(cs)
-    except AccuracyError as exc:
-        return PointEvaluation(state, r0, cs, pos, stage="momentum", error=exc)
-    return PointEvaluation(state, r0, cs, pos, mom)
+        stage = "momentum"
+        return PointEvaluation(state, r0, cs, pos, momentum_measures(cs))
+    except (ConvergenceError, AccuracyError) as exc:
+        error = type(exc)(f"{stage}: {exc}")
+        error.__cause__ = exc
+        return PointEvaluation(state, r0, cs, pos, error=error)
 
 
 def evaluate_point(n: int, m: int, r0: float) -> SweepRow:
@@ -194,7 +192,7 @@ def evaluate_point(n: int, m: int, r0: float) -> SweepRow:
             values[f"f_{space}"] = report.fisher
             values[f"cr_{space}"] = report.cramer_rao
             values[f"{space}_norm_residual"] = report.norm_residual
-    error = None if ev.error is None else _flatten_error(ev.error, ev.stage)
+    error = None if ev.error is None else _flatten_error(ev.error)
     return SweepRow(n, m, r0, **values, error=error)
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from hydrodisc import acceptance, momentum, specfun, sweep
 from hydrodisc.confined import solve
+from hydrodisc.fd_eigensolver import oracle_energy
 from hydrodisc.free_atom import StateLabel
 
 UNATTAINABLE = {
@@ -149,9 +150,15 @@ def test_crossing_counts_and_locates(roots, changes, text, located):
         refined.append(specfun.brent_root(f, lo, hi, xtol))
         return refined[-1]
 
+    def value(st, r):
+        return gap(r) if st == ground else 0.0
+
+    ground, other = StateLabel(1, 0), StateLabel(2, 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "brent_root", brent_root)
-        got = acceptance._crossing(gap, np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11))
+        got = acceptance._crossing(
+            value, ground, other, np.linspace(0.0, 1.0, 11), np.linspace(0.0, 2.0, 11)
+        )
     assert got == (changes, text)
     assert refined == pytest.approx(located, abs=1e-4)
 
@@ -188,3 +195,64 @@ def test_mean_is_held_against_the_table():
     ok, line = acceptance.criterion_8([dataclasses.replace(point, mom=shifted)])
     assert not ok
     assert "<p> off the table's" in line
+
+
+@pytest.fixture(scope="module")
+def small_grid():
+    """The four states at the default-grid radii in [3, 9] and at r0 = 40."""
+    r = [float(r0) for r0 in sweep.radii(sweep.SweepConfig()) if 3.0 <= r0 <= 9.0 or r0 == 40.0]
+    return [sweep.evaluate(StateLabel(n, m), r0) for n, m in sweep.DEFAULT_STATES for r0 in r]
+
+
+def _with(point, record, **changes):
+    """point with some fields of one record (cs, pos or mom) replaced."""
+    replaced = dataclasses.replace(getattr(point, record), **changes)
+    return dataclasses.replace(point, **{record: replaced})
+
+
+def test_free_limit_failures(small_grid):
+    """Criterion 3 fails on a grid with no r0 = 40 points, and on an energy off by 2e-3."""
+    assert acceptance.criterion_3(small_grid)[0]
+    ok, line = acceptance.criterion_3([p for p in small_grid if p.r0 != 40.0])
+    assert (ok, line) == (False, "the grid holds 0 r0=40 points, not 4")
+    off = [_with(p, "cs", energy=p.cs.energy + 2e-3) if p.r0 == 40.0 and p.state.label == "2p"
+           else p for p in small_grid]
+    ok, line = acceptance.criterion_3(off)
+    assert (ok, line) == (False, "2p energy off by 2.00e-03")
+
+
+def test_upper_bound_failure(small_grid):
+    """Criterion 4 fails on an energy 1e-8 below the exact level, naming the point."""
+    p = small_grid[0]
+    assert acceptance.criterion_4([p])[0]
+    below = _with(p, "cs", energy=oracle_energy(p.state, p.r0) - 1e-8)
+    ok, line = acceptance.criterion_4([below])
+    assert (ok, line) == (False, f"1s r0={p.r0:.3f} margin -1.00e-08")
+
+
+def test_structural_extrema_failures(small_grid):
+    """Criterion 7 fails on a flat 2s curve: no position minimum, no momentum maximum."""
+    assert acceptance.criterion_7(small_grid)[0]
+    flat = [_with(_with(p, "pos", cramer_rao=4.0), "mom", cramer_rao=16.0)
+            if p.state.label == "2s" else p for p in small_grid]
+    ok, line = acceptance.criterion_7(flat)
+    assert not ok
+    assert line == (
+        f"2s position CR minimum at r0={small_grid[0].r0:.2f}, outside [4, 8]; "
+        "2s momentum CR has no interior maximum in [3.5, 7]"
+    )
+
+
+@pytest.mark.parametrize(
+    "record, changes, message",
+    [("mom", {"fisher": 0.5}, "1s r0=3.018 Fisher product 8.027 < 16"),
+     ("pos", {"second_moment": 0.1}, "1s r0=3.018 <r^2>F[rho] < 4"),
+     ("pos", {"norm_residual": 2e-4}, "1s r0=3.018 norm residual 2.00e-04")],
+)
+def test_uncertainty_and_bound_failures(small_grid, record, changes, message):
+    """Criterion 8 fails on F*F below 16, <r^2>F below 4 or a norm residual above 1e-4."""
+    p = small_grid[0]
+    assert acceptance.criterion_8([p])[0]
+    ok, line = acceptance.criterion_8([_with(p, record, **changes)])
+    assert not ok
+    assert message in line.split("; ")

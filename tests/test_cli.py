@@ -258,7 +258,9 @@ def test_unsettled_oracle_search_in_verify_exits_2(monkeypatch, capsys, target, 
         lambda verbose: [("oracle", oracle_energy(StateLabel(1, 0), 2.0) < 0.0, "")],
     )
     assert main(["verify"]) == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "1s level" in err and "at r0=2.0" in err  # the failure names its level
 
 
 def test_verify_summarizes_failed_criteria(monkeypatch, capsys):

@@ -108,6 +108,35 @@ def test_exact_degeneracies(n, m, r0):
         assert abs(energy / _mpmath_level(state_m, r0, energy) - 1.0) < 5e-13, (state_m, energy)
 
 
+@pytest.mark.parametrize(
+    "n, m, r0",
+    [(1, 0, 0.05), (1, 0, 2.0), (2, 0, 6.0), (2, 1, 0.5), (3, 2, 4.0), (2, 0, 20.0), (3, 2, 40.0)],
+)
+def test_wall_slope_is_hadamards(n, m, r0):
+    """dE/dr0 = -(r0/2) R'(r0)^2 / Int_0^r0 R^2 r dr (Hadamard's wall variation).
+
+    R is the 30-digit closed form at the oracle level, and the slope a
+    central difference of oracle_energy at h = 1e-5 r0.  The gap is about
+    1e-9 relative; at the two wide walls the slope is small and the
+    rounding of E, about eps |E| / h, sets it (2.3e-5 and 2.7e-5 relative,
+    3.2e-13 and 1.7e-14 absolute).  5s at r0 = 1 is left out: it reads
+    5.0e-8, the drift of the float series at E > 0.
+    """
+    state = StateLabel(n, m)
+    level = oracle_energy(state, r0)
+    h = 1e-5 * r0
+    slope = (oracle_energy(state, r0 + h) - oracle_energy(state, r0 - h)) / (2.0 * h)
+    with mpmath.workdps(30):
+
+        def radial(r):
+            return r**m * _radial(m, r, level)
+
+        norm = mpmath.quad(lambda r: radial(r) ** 2 * r, [0, r0])
+        hadamard = float(-r0 / 2 * mpmath.diff(radial, r0) ** 2 / norm)
+    rounding = 100.0 * np.finfo(float).eps * abs(level) / h
+    assert abs(slope - hadamard) <= 1e-8 * abs(hadamard) + rounding
+
+
 def test_validation_errors():
     for r0 in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):

@@ -301,6 +301,26 @@ def test_brent_root_needs_a_sign_change():
         brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-2.0, 1.0)])
+def test_brent_root_returns_an_endpoint_at_an_exact_zero(lo, hi):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert brent_root(f, lo, hi, 1e-12) == 1.0
+    assert calls == [lo, hi]
+
+
+def test_brent_root_on_nan_is_a_value_error():
+    """A nan value ends the search: at an endpoint, or wherever the search meets it."""
+    with pytest.raises(ValueError, match=r"f\(2.0\) is nan"):
+        brent_root(lambda x: x - 1.0 if x < 1.5 else math.nan, 0.0, 2.0, 1e-12)
+    with pytest.raises(ValueError, match=r"f\(0.5\) is nan"):
+        brent_root(lambda x: math.nan if 0.1 < x < 0.9 else x - 0.5, 0.0, 1.0, 1e-12)
+
+
 def test_unsettled_brent_root_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(specfun, "_ROOT_MAXITER", 2)
     with pytest.raises(ConvergenceError, match="brent_root did not converge in 2 iterations"):

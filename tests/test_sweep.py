@@ -169,9 +169,36 @@ def test_evaluate_point_isolates_accuracy_failure(monkeypatch):
     assert row.v_mom is None
 
 
+def test_evaluate_point_isolates_position_failure(monkeypatch, tmp_path):
+    """A position failure keeps alpha_opt and energy; its CSV row reads nan from v_pos on."""
+    rule = measures.radial_rule
+
+    def half_weights(r0):
+        r, w = rule(r0)
+        return r, 0.5 * w
+
+    monkeypatch.setattr(measures, "radial_rule", half_weights)
+    row = evaluate_point(2, 0, 3.0)
+    assert row.error == "position: position norm residual 5.000e-01 exceeds 1e-04"
+    assert row.alpha_opt is not None and row.energy is not None
+    path = tmp_path / "x.csv"
+    emit_csv([row], str(path))
+    cells = path.read_text().splitlines()[1].split(",")
+    n_cols = len(CSV_HEADER.split(","))
+    assert "nan" not in cells[:5]
+    assert cells[5:n_cols] == ["nan"] * (n_cols - 5)
+    assert cells[n_cols:] == [row.error]
+
+
 def test_emit_csv_refuses_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         emit_csv([], str(tmp_path / "x.csv"))
+
+
+def test_emit_plot_data_refuses_empty(tmp_path):
+    with pytest.raises(ValueError, match="empty"):
+        emit_plot_data([], str(tmp_path / "plots"))
+    assert not (tmp_path / "plots").exists()
 
 
 def test_parse_csv_rejects_wrong_header(tmp_path):
